@@ -17,11 +17,10 @@ simulation stack:
   ``telemetry.jsonl`` into a phase-tree timing table and metric
   summary (:mod:`~repro.obs.report`);
 * **analysis** -- the read side: deterministic anomaly/change-point
-  detection over the day ledger (:mod:`~repro.obs.analyze`),
-  self-contained HTML dashboards (:mod:`~repro.obs.dash`), and
-  bench-history trend gating (:mod:`~repro.obs.history`), all via
-  ``python -m repro.obs analyze|dash|trend``.  None are imported here:
-  the write side stays import-light for the engine's hot path.
+  detection over the day ledger (:mod:`~repro.obs.analyze`) and
+  self-contained HTML dashboards (:mod:`~repro.obs.dash`), via
+  ``python -m repro.obs analyze|dash``.  Neither is imported here: the
+  write side stays import-light for the engine's hot path.
 
 The package-level functions (:func:`span`, :func:`event`,
 :func:`counter`, ...) operate on one process-global tracer and metrics
@@ -57,7 +56,7 @@ from .sink import (
     Sink,
 )
 from .timeseries import DAYLEDGER_NAME, DayLedger
-from .trace import DEFAULT_WORKER_ID, WORKER_ID_ENV, Span, Tracer
+from .trace import Span, Tracer
 
 __all__ = [
     "Counter",
@@ -77,13 +76,11 @@ __all__ = [
     "DAYLEDGER_NAME",
     "DEFAULT_SIZE_BUCKETS",
     "DEFAULT_TIME_BUCKETS",
-    "DEFAULT_WORKER_ID",
     "HEARTBEAT_ENV",
     "LOG_LEVEL_ENV",
     "PROFILE_ENV",
     "PROGRESS_NAME",
     "TELEMETRY_NAME",
-    "WORKER_ID_ENV",
     "add_sink",
     "capture",
     "counter",
@@ -101,12 +98,10 @@ __all__ = [
     "publish_resources",
     "remove_sink",
     "set_dayledger",
-    "set_worker_id",
     "setup_logging",
     "span",
     "trace",
     "tracer",
-    "worker_id",
 ]
 
 #: Days between progress heartbeat events in the engine's day loops.
@@ -150,25 +145,6 @@ def tracer() -> Tracer:
 def metrics() -> MetricsRegistry:
     """The process-global metrics registry."""
     return _METRICS
-
-
-def worker_id() -> str:
-    """The process-global worker id (``w0`` unless sharded)."""
-    return _TRACER.worker_id
-
-
-def set_worker_id(worker: str) -> str:
-    """Label this process's spans/events/metrics with ``worker``.
-
-    A sharded worker process calls this (or sets ``REPRO_OBS_WORKER_ID``
-    before import) so every telemetry payload it emits carries its
-    identity; ``repro.obs merge`` later combines the per-worker streams.
-    Returns the previous id so tests can restore it.
-    """
-    previous = _TRACER.worker_id
-    _TRACER.set_worker_id(worker)
-    _METRICS.worker_id = str(worker)
-    return previous
 
 
 def span(name: str, **attrs):
@@ -224,23 +200,15 @@ def capture() -> Iterator[MemorySink]:
         _TRACER.remove_sink(sink)
 
 
-def _tag_worker(payload: dict) -> dict:
-    if _TRACER.worker_id != DEFAULT_WORKER_ID:
-        payload["w"] = _TRACER.worker_id
-    return payload
-
-
 def publish_metrics() -> None:
     """Emit a cumulative metrics snapshot event to the attached sinks."""
     if _TRACER.sinks:
         _TRACER.emit(
-            _tag_worker(
-                {
-                    "t": round(_TRACER.now(), 6),
-                    "kind": "metrics",
-                    "data": _METRICS.snapshot(),
-                }
-            )
+            {
+                "t": round(_TRACER.now(), 6),
+                "kind": "metrics",
+                "data": _METRICS.snapshot(),
+            }
         )
 
 
@@ -248,13 +216,11 @@ def publish_resources(summary: dict) -> None:
     """Emit a resource-envelope event (see :mod:`repro.obs.resources`)."""
     if _TRACER.sinks:
         _TRACER.emit(
-            _tag_worker(
-                {
-                    "t": round(_TRACER.now(), 6),
-                    "kind": "resources",
-                    "data": summary,
-                }
-            )
+            {
+                "t": round(_TRACER.now(), 6),
+                "kind": "resources",
+                "data": summary,
+            }
         )
 
 

@@ -7,7 +7,6 @@
     python -m repro.obs watch RUNS/x              # live progress tail
     python -m repro.obs watch RUNS/x --once       # one status line
     python -m repro.obs export RUNS/x --format chrome-trace
-    python -m repro.obs merge RUNS/w0 RUNS/w1 --out RUNS/merged
     python -m repro.obs runs index RUNS/          # build RUNS/runs.json
     python -m repro.obs runs list RUNS/           # registry table
     python -m repro.obs runs show RUNS/x          # one run's summary
@@ -17,16 +16,15 @@
     python -m repro.obs analyze RUNS/x --fail-on anomalies=0
     python -m repro.obs dash RUNS/x               # -> RUNS/x/dashboard.html
     python -m repro.obs dash RUNS/x --compare RUNS/y --out matrix.html
-    python -m repro.obs trend --fail-on total=0.25   # bench-history gate
 
-Reports go to stdout; diagnostics go to stderr via logging.  ``diff``,
-``analyze``, and ``trend`` exit 0 when every ``--fail-on`` rule holds,
-1 on a violation, and 2 when inputs are unreadable.  ``report`` and
-``watch`` on a run with missing telemetry or sidecar print a notice
-and exit 0 -- absent telemetry is a normal state (``telemetry=False``
-runs, pre-sidecar dirs), not an error.  ``export``, ``merge``,
-``analyze``, and ``dash`` exit 2 on unreadable inputs: they produce
-artifacts, so a silent no-op would masquerade as success.
+Reports go to stdout; diagnostics go to stderr via logging.  ``diff``
+and ``analyze`` exit 0 when every ``--fail-on`` rule holds, 1 on a
+violation, and 2 when inputs are unreadable.  ``report`` and ``watch``
+on a run with missing telemetry or sidecar print a notice and exit 0
+-- absent telemetry is a normal state (``telemetry=False`` runs,
+pre-sidecar dirs), not an error.  ``export``, ``analyze``, and
+``dash`` exit 2 on unreadable inputs: they produce artifacts, so a
+silent no-op would masquerade as success.
 """
 
 from __future__ import annotations
@@ -146,23 +144,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
         out = (target if target.is_dir() else target.parent) / TRACE_NAME
     export_chrome_trace(events, out)
     _print(f"wrote {args.format} ({len(events)} events) -> {out}")
-    return 0
-
-
-def _cmd_merge(args: argparse.Namespace) -> int:
-    from .merge import MergeError, merge_runs
-
-    try:
-        record = merge_runs(args.inputs, args.out)
-    except MergeError as exc:
-        log.error("%s", exc)
-        return 2
-    _print(
-        f"merged {len(record['inputs'])} fragment(s) "
-        f"[{', '.join(record['workers'])}]: "
-        f"{record['telemetry_events']} events, "
-        f"{record['ledger_days']} ledger day(s) -> {args.out}"
-    )
     return 0
 
 
@@ -308,40 +289,6 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trend(args: argparse.Namespace) -> int:
-    from .history import (
-        evaluate_trend_fail_on,
-        load_history,
-        parse_trend_fail_on,
-        render_trend,
-        trend_report,
-    )
-
-    try:
-        rules = parse_trend_fail_on(args.fail_on)
-    except ValueError as exc:
-        log.error("%s", exc)
-        return 2
-    try:
-        rows = load_history(args.history)
-    except (FileNotFoundError, ValueError) as exc:
-        log.error("%s", exc)
-        return 2
-    report = trend_report(rows, baseline_k=args.baseline_k)
-    _print(render_trend(report))
-    violations = evaluate_trend_fail_on(report, rules)
-    if violations:
-        _print("")
-        _print("FAIL:")
-        for violation in violations:
-            _print(f"  {violation}")
-        return 1
-    if rules:
-        _print("")
-        _print(f"ok: {len(rules)} rule(s) held")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -411,23 +358,6 @@ def main(argv: list[str] | None = None) -> int:
         help="output path (default: <run-dir>/trace.json)",
     )
     export.set_defaults(func=_cmd_export)
-
-    merge = sub.add_parser(
-        "merge", help="merge per-worker run fragments into one layout"
-    )
-    merge.add_argument(
-        "inputs",
-        type=Path,
-        nargs="+",
-        help="per-worker run directories (any order)",
-    )
-    merge.add_argument(
-        "--out",
-        type=Path,
-        required=True,
-        help="directory for the merged telemetry/ledger",
-    )
-    merge.set_defaults(func=_cmd_merge)
 
     runs = sub.add_parser(
         "runs", help="index / list / show run directories (runs.json)"
@@ -532,34 +462,6 @@ def main(argv: list[str] | None = None) -> int:
         help="output path (default: <run-dir>/dashboard.html)",
     )
     dash.set_defaults(func=_cmd_dash)
-
-    trend = sub.add_parser(
-        "trend", help="benchmark-history trends and the perf CI gate"
-    )
-    trend.add_argument(
-        "--history",
-        type=Path,
-        default=Path("BENCH_history.jsonl"),
-        help="history JSONL path (default: BENCH_history.jsonl)",
-    )
-    trend.add_argument(
-        "--baseline-k",
-        type=int,
-        default=5,
-        help="prior rows per group the baseline median covers (default: 5)",
-    )
-    trend.add_argument(
-        "--fail-on",
-        action="append",
-        default=[],
-        metavar="RULE=FRAC",
-        help=(
-            "gate rule(s): phase=FRAC (any phase slower than baseline), "
-            "total=FRAC (total slower), throughput=FRAC (rows/s lower); "
-            "repeatable or comma-separated"
-        ),
-    )
-    trend.set_defaults(func=_cmd_trend)
 
     args = parser.parse_args(argv)
     setup_logging()

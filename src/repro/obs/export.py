@@ -12,30 +12,23 @@ into a visual timeline:
   (``"ph": "i"``) events with process scope;
 * **metrics snapshots** become counter (``"ph": "C"``) events, one per
   counter, so cumulative series (rows emitted, chunks written) plot as
-  staircase tracks under the slices;
-* each **worker id** (the ``"w"`` field; absent means ``w0``) maps to
-  its own pid with a process-name metadata record, so a merged
-  multi-worker file renders as parallel process tracks.
+  staircase tracks under the slices.
 
-The export is deterministic: workers are ordered by their natural sort
-key and events keep their file order within a worker, so the same
-telemetry always produces the same JSON bytes.
+Every event belongs to one trace process, named by a process-name
+metadata record.  The export is deterministic: events keep their file
+order, so the same telemetry always produces the same JSON bytes.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
-
-from .trace import DEFAULT_WORKER_ID
 
 __all__ = [
     "TRACE_NAME",
     "EXPORT_FORMATS",
     "events_to_chrome_trace",
     "export_chrome_trace",
-    "worker_sort_key",
 ]
 
 #: Default export file name inside a run directory.
@@ -43,43 +36,21 @@ TRACE_NAME = "trace.json"
 
 EXPORT_FORMATS = ("chrome-trace",)
 
-_NATURAL = re.compile(r"^(.*?)(\d+)$")
-
-
-def worker_sort_key(worker: str) -> tuple:
-    """Natural sort key so ``w2`` orders before ``w10``."""
-    match = _NATURAL.match(worker)
-    if match is None:
-        return (worker, -1)
-    return (match.group(1), int(match.group(2)))
-
-
-def _event_worker(event: dict) -> str:
-    return str(event.get("w", DEFAULT_WORKER_ID))
-
 
 def events_to_chrome_trace(events: list[dict]) -> dict:
     """Build the Trace Event Format payload for one telemetry stream."""
-    workers = sorted(
-        {_event_worker(e) for e in events} or {DEFAULT_WORKER_ID},
-        key=worker_sort_key,
-    )
-    pid_of = {worker: index + 1 for index, worker in enumerate(workers)}
-
-    trace_events: list[dict] = []
-    for worker in workers:
-        trace_events.append(
-            {
-                "ph": "M",
-                "name": "process_name",
-                "pid": pid_of[worker],
-                "tid": 0,
-                "args": {"name": f"repro worker {worker}"},
-            }
-        )
+    pid = 1
+    trace_events: list[dict] = [
+        {
+            "ph": "M",
+            "name": "process_name",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": "repro"},
+        }
+    ]
 
     for event in events:
-        pid = pid_of[_event_worker(event)]
         kind = event.get("kind")
         if kind == "span":
             trace_events.append(

@@ -104,18 +104,10 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Flat registry of named metrics with get-or-create accessors.
+    """Flat registry of named metrics with get-or-create accessors."""
 
-    A registry carries the same **worker id** dimension as the tracer
-    (default ``w0``): snapshots from a non-default worker are tagged
-    with a ``"worker"`` key so ``repro.obs merge`` can attribute (and
-    sum) per-worker counters.  The default worker's snapshot shape is
-    unchanged from the pre-worker-dimension format.
-    """
-
-    def __init__(self, worker_id: str = "w0") -> None:
+    def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        self.worker_id = str(worker_id)
 
     def _get(self, name: str, kind: type, factory):
         metric = self._metrics.get(name)
@@ -162,14 +154,11 @@ class MetricsRegistry:
                     "count": metric.count,
                     "sum": round(metric.sum, 6),
                 }
-        snapshot = {
+        return {
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
         }
-        if self.worker_id != "w0":
-            snapshot["worker"] = self.worker_id
-        return snapshot
 
     def reset(self) -> None:
         """Zero every metric in place (handles stay valid)."""

@@ -22,7 +22,7 @@ is reported once via the ``repro.obs`` logger.
 
 Sidecar schema (``repro.progress/v1``)::
 
-    {"schema": "repro.progress/v1", "worker": "w0",
+    {"schema": "repro.progress/v1",
      "status": "running" | "complete" | "interrupted",
      "phase": "phase1" | "phase3" | ..., "day": 311, "days": 728,
      "days_per_sec": 14.2, "eta_s": 29.4, "heartbeats": 12,
@@ -76,7 +76,6 @@ class ProgressSink(Sink):
         self,
         run_dir: str | Path,
         days: int | None = None,
-        worker_id: str = "w0",
         registry=None,
         wall_clock=time.time,
     ) -> None:
@@ -90,7 +89,6 @@ class ProgressSink(Sink):
         self._warned = False
         self.state: dict = {
             "schema": PROGRESS_SCHEMA,
-            "worker": str(worker_id),
             "status": "running",
             "phase": None,
             "day": None,

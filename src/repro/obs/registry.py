@@ -2,11 +2,11 @@
 
 Every completed (or in-flight) run directory already carries the
 artifacts that describe it -- ``MANIFEST.json``, ``telemetry.jsonl``,
-``dayledger.jsonl``, ``validation.json`` / ``validation_report.txt``
-and any ``BENCH*.json`` dropped next to them.  The registry condenses
-each into one summary record and writes the collection to ``runs.json``
-so cross-run tooling (and humans) can answer "what runs do I have and
-how did they do?" without re-parsing every artifact::
+``dayledger.jsonl``, ``validation.json`` / ``validation_report.txt``.
+The registry condenses each into one summary record and writes the
+collection to ``runs.json`` so cross-run tooling (and humans) can
+answer "what runs do I have and how did they do?" without re-parsing
+every artifact::
 
     python -m repro.obs runs index RUNS/          # write RUNS/runs.json
     python -m repro.obs runs list RUNS/           # table to stdout
@@ -189,25 +189,6 @@ def _analysis_summary(run_dir: Path) -> dict | None:
 _ARTIFACT_NAMES = (ANALYZE_NAME, "dashboard.html")
 
 
-def _bench_summary(run_dir: Path) -> dict | None:
-    benches = sorted(run_dir.glob("BENCH*.json"))
-    if not benches:
-        return None
-    summaries = {}
-    for path in benches:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(payload, dict):
-            summaries[path.name] = {
-                key: payload.get(key)
-                for key in ("schema", "preset", "rows", "rows_per_sec", "phases")
-                if key in payload
-            }
-    return summaries or None
-
-
 def live_status(run_dir: str | Path) -> dict | None:
     """The ``progress.json`` sidecar condensed for the registry.
 
@@ -268,7 +249,6 @@ def summarize_run(run_dir: str | Path) -> dict | None:
         "artifacts": sorted(
             name for name in _ARTIFACT_NAMES if (run_dir / name).exists()
         ),
-        "bench": _bench_summary(run_dir),
     }
     telemetry = report_path(run_dir)
     if telemetry.exists():

@@ -1,6 +1,6 @@
 """Resource profiler: RSS, CPU, and GC pauses per phase.
 
-Sharding and batching decisions need the resource *envelope* of a run
+Performance work needs the resource *envelope* of a run
 -- how much resident memory each phase holds, how close to one core
 the process runs, how much time cyclic GC steals -- not just wall-clock
 spans.  :class:`ResourceSampler` measures exactly that with three
@@ -22,11 +22,11 @@ The sampling interval is coarse (default 50 ms) and the thread sleeps
 on an :class:`threading.Event`, so total overhead stays far inside the
 3% telemetry budget (``benchmarks/test_obs_overhead.py``).
 
-The summary lands in three places: a ``{"kind": "resources"}`` event
-in ``telemetry.jsonl`` (rendered by ``repro.obs report`` and compared
-by ``repro.obs diff --fail-on rss=FRAC``), the ``resources`` section of
-``BENCH_engine.json`` (schema v4), and notebooks via
-:meth:`ResourceSampler.summary` directly.
+The summary lands in two places: a ``{"kind": "resources"}`` event in
+``telemetry.jsonl`` (rendered by ``repro.obs report``, drawn by
+``repro.obs dash`` and compared by ``repro.obs diff --fail-on
+rss=FRAC``), and notebooks via :meth:`ResourceSampler.summary`
+directly.
 """
 
 from __future__ import annotations

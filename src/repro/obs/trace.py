@@ -22,36 +22,18 @@ Event payloads are plain dicts so any sink can serialize them::
 ``t`` and ``start`` are seconds since the tracer's epoch (its
 construction time), so they are comparable within one process and
 monotone even across wall-clock jumps.
-
-Every tracer carries a **worker id** (default ``w0``, overridable via
-the ``REPRO_OBS_WORKER_ID`` environment variable or
-:meth:`Tracer.set_worker_id`).  Payloads from a non-default worker gain
-a ``"w"`` field; the default worker emits exactly the historical
-payload shape, so single-process telemetry files are byte-identical to
-pre-worker-dimension ones and a reader treats a missing ``"w"`` as
-``w0``.  This is the observability groundwork for process sharding:
-each worker process sets its own id, and ``repro.obs merge`` combines
-the per-worker streams into one canonical file.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import wraps
 from typing import Callable, Iterator
 
-__all__ = ["DEFAULT_WORKER_ID", "WORKER_ID_ENV", "Span", "Tracer"]
-
-#: Worker id assumed for any event without an explicit ``"w"`` field.
-DEFAULT_WORKER_ID = "w0"
-
-#: Environment variable a sharded worker process sets before importing
-#: the engine, so every span/event it emits carries its id.
-WORKER_ID_ENV = "REPRO_OBS_WORKER_ID"
+__all__ = ["Span", "Tracer"]
 
 
 @dataclass
@@ -76,47 +58,18 @@ class Span:
 class Tracer:
     """Context-manager/decorator spans with pluggable sinks."""
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        worker_id: str | None = None,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
         self._epoch = clock()
         self._ids = itertools.count(1)
         self._stack: list[Span] = []
         self._sinks: list = []
-        if worker_id is None:
-            worker_id = os.environ.get(WORKER_ID_ENV) or DEFAULT_WORKER_ID
-        self._worker_id = str(worker_id)
 
     # -- clock ---------------------------------------------------------
 
     def now(self) -> float:
         """Monotonic seconds since this tracer was created."""
         return self._clock() - self._epoch
-
-    # -- worker dimension ----------------------------------------------
-
-    @property
-    def worker_id(self) -> str:
-        """This tracer's worker id (``w0`` unless sharded)."""
-        return self._worker_id
-
-    def set_worker_id(self, worker_id: str) -> None:
-        """Re-label every event emitted from now on with ``worker_id``."""
-        self._worker_id = str(worker_id)
-
-    def _tagged(self, payload: dict) -> dict:
-        """Attach the ``"w"`` dimension for non-default workers.
-
-        The default worker emits the historical payload shape, so a
-        single-process run's telemetry stays byte-identical to the
-        pre-worker-dimension format.
-        """
-        if self._worker_id != DEFAULT_WORKER_ID:
-            payload["w"] = self._worker_id
-        return payload
 
     # -- sink management -----------------------------------------------
 
@@ -175,18 +128,16 @@ class Tracer:
             record.end = self.now()
             if self._sinks:
                 self.emit(
-                    self._tagged(
-                        {
-                            "t": round(record.end, 6),
-                            "kind": "span",
-                            "name": record.name,
-                            "id": record.span_id,
-                            "parent": record.parent_id,
-                            "start": round(record.start, 6),
-                            "dur": round(record.end - record.start, 6),
-                            "attrs": record.attrs,
-                        }
-                    )
+                    {
+                        "t": round(record.end, 6),
+                        "kind": "span",
+                        "name": record.name,
+                        "id": record.span_id,
+                        "parent": record.parent_id,
+                        "start": round(record.start, 6),
+                        "dur": round(record.end - record.start, 6),
+                        "attrs": record.attrs,
+                    }
                 )
 
     def trace(self, name: str | None = None):
@@ -209,12 +160,10 @@ class Tracer:
         """Emit a point-in-time event (heartbeats, checkpoints, faults)."""
         if self._sinks:
             self.emit(
-                self._tagged(
-                    {
-                        "t": round(self.now(), 6),
-                        "kind": "event",
-                        "name": name,
-                        "attrs": attrs,
-                    }
-                )
+                {
+                    "t": round(self.now(), 6),
+                    "kind": "event",
+                    "name": name,
+                    "attrs": attrs,
+                }
             )

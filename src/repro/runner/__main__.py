@@ -88,18 +88,19 @@ def _main_run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     obs.setup_logging()
 
-    config = small_config() if args.small else default_config()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.days is not None:
-        config = replace(config, days=args.days)
-
     from .runner import CheckpointRunner
 
     # Monotonic clock (the tracer's): wall-clock steps from NTP slew
     # must not corrupt the reported elapsed time.
     started = obs.tracer().now()
     try:
+        # Config validation raises ConfigError (a ReproError) from
+        # __post_init__, so a bad --seed/--days exits 2 like any other.
+        config = small_config() if args.small else default_config()
+        if args.seed is not None:
+            config = replace(config, seed=args.seed)
+        if args.days is not None:
+            config = replace(config, days=args.days)
         runner = CheckpointRunner(
             config,
             args.checkpoint_dir,

@@ -191,11 +191,7 @@ class CheckpointRunner:
             self._sink = JsonlSink(self.run_dir / TELEMETRY_NAME)
             obs.add_sink(self._sink)
         if self.progress:
-            self._progress = ProgressSink(
-                self.run_dir,
-                days=self.config.days,
-                worker_id=obs.worker_id(),
-            )
+            self._progress = ProgressSink(self.run_dir, days=self.config.days)
             obs.add_sink(self._progress)
         if self.resources:
             self._sampler = ResourceSampler()

@@ -292,8 +292,8 @@ class SimulationEngine:
 
         Performs the draw-bearing half of account generation -- screen,
         materialize, evaluate, commit, dormancy -- in the canonical
-        per-account order shared by the day-loop and whole-horizon
-        paths, and returns ``(account, activity_end, materialized)``.
+        per-account order, and returns ``(account, activity_end,
+        materialized)``.
         ``materialized`` accounts still need :meth:`_finish_account`
         (trim + summary), which draws nothing; non-materialized
         accounts are already final (an untouched empty account).
@@ -387,22 +387,6 @@ class SimulationEngine:
             account.advertiser, profile, None, adv_row, activity_end
         )
 
-    def _generate_account(
-        self,
-        profile: AdvertiserProfile,
-        created_time: float,
-        adv_row: int,
-        materializer=materialize_account_batch,
-    ) -> tuple[MaterializedAccount, AccountSummary]:
-        """Build one account end-to-end (materialize + detect + trim)."""
-        account, activity_end, materialized = self._plan_account(
-            profile, created_time, materializer
-        )
-        summary = self._finish_account(
-            profile, account, adv_row, activity_end, materialized
-        )
-        return account, summary
-
     def _draw_day_registrations(self, day, rng, schedule, ledger):
         """Yield one day's ``(profile, created_time)`` pairs lazily.
 
@@ -410,9 +394,7 @@ class SimulationEngine:
         (screening, materialization, detection) between registrations,
         and the canonical stream order puts each account's profile
         draws immediately before *that account's* downstream draws --
-        never batched ahead.  Both the day-loop and whole-horizon
-        paths consume this, so they share one draw order by
-        construction.
+        never batched ahead.
         """
         config = self.config
         n_fraud, n_nonfraud = sample_daily_counts(
@@ -444,76 +426,16 @@ class SimulationEngine:
                 if 0 <= change.day < self.config.days:
                     ledger.record_policy_change(change.day)
 
-    def _generate_population(
-        self,
-        materializer,
-        on_day_complete=None,
-    ) -> tuple[list[MaterializedAccount], list[AccountSummary]]:
-        """The Phase-1 day loop, parameterized by the materializer."""
-        config = self.config
-        rng = self._rng_population
-        schedule = FraudShareSchedule(config.population, config.days, rng)
-        accounts: list[MaterializedAccount] = []
-        summaries: list[AccountSummary] = []
-        mode = "scalar" if materializer is materialize_account else "batch"
-        heartbeat = obs.heartbeat_every()
-        tracer = obs.tracer()
-        # Nearly everything allocated here is either retained for the
-        # whole run (entities, summaries) or freed promptly by reference
-        # counting (trimmed columns); cyclic GC only adds pauses that
-        # scale with the live-object count -- about a quarter of
-        # Phase-1 wall time at full scale.  Pause it for the loop.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        ledger = obs.dayledger()
-        self._record_policy_changes(ledger)
-        try:
-            with obs.span(
-                "phase1.population", days=config.days, materializer=mode
-            ) as phase_span:
-                for day in range(config.days):
-                    with obs.span("phase1.day", day=day):
-                        for profile, created_time in self._draw_day_registrations(
-                            day, rng, schedule, ledger
-                        ):
-                            account, summary = self._generate_account(
-                                profile,
-                                created_time,
-                                adv_row=len(accounts),
-                                materializer=materializer,
-                            )
-                            accounts.append(account)
-                            summaries.append(summary)
-                    if heartbeat and (day + 1) % heartbeat == 0:
-                        elapsed = tracer.now() - phase_span.start
-                        throughput = _day_throughput(
-                            day + 1, config.days, elapsed
-                        )
-                        if elapsed > 0:
-                            _ACCOUNTS_PER_S.set(len(accounts) / elapsed)
-                        obs.event(
-                            "heartbeat",
-                            phase="phase1",
-                            day=day,
-                            accounts=len(accounts),
-                            **throughput,
-                        )
-                    if on_day_complete is not None:
-                        on_day_complete(day)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return accounts, summaries
-
     def _generate_population_horizon(
         self,
         on_day_complete=None,
+        materializer=None,
     ) -> tuple[list[MaterializedAccount], list[AccountSummary]]:
         """Phase 1 as two whole-horizon passes: draws, then build.
 
         The **draws** pass sweeps the horizon once, performing every
-        RNG draw in the canonical order (identical to the day loop's)
-        and recording per-account outcomes into a columnar
+        RNG draw in the canonical order and recording per-account
+        outcomes into a columnar
         :class:`~repro.behavior.horizon.PopulationPlan` (exposed as
         :attr:`population_plan`).  The **build** pass -- draw-free by
         construction -- trims each materialized account to its recorded
@@ -521,6 +443,10 @@ class SimulationEngine:
         side-effects (ledger rows, heartbeats, ``on_day_complete``)
         fire from the draws pass, so the checkpoint runner's fault
         sites and progress reporting are unchanged.
+
+        ``materializer`` replaces :meth:`_plan_account`'s default
+        batched materializer; the scalar oracle passes
+        :func:`~repro.behavior.factory.materialize_account`.
         """
         from ..behavior.horizon import PlanRecorder
 
@@ -530,17 +456,21 @@ class SimulationEngine:
         accounts: list[MaterializedAccount] = []
         profiles: list[AdvertiserProfile] = []
         recorder = PlanRecorder(config.days)
+        mode = "horizon" if materializer is None else "scalar"
         heartbeat = obs.heartbeat_every()
         tracer = obs.tracer()
-        # Same GC rationale as the day loop: pause cyclic collection
-        # for the duration of entity construction.
+        # Nearly everything allocated here is either retained for the
+        # whole run (entities, summaries) or freed promptly by reference
+        # counting (trimmed columns); cyclic GC only adds pauses that
+        # scale with the live-object count -- about a quarter of
+        # Phase-1 wall time at full scale.  Pause it for both passes.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         ledger = obs.dayledger()
         self._record_policy_changes(ledger)
         try:
             with obs.span(
-                "phase1.population", days=config.days, materializer="horizon"
+                "phase1.population", days=config.days, materializer=mode
             ) as phase_span:
                 with obs.span("phase1.draws", days=config.days):
                     for day in range(config.days):
@@ -549,6 +479,10 @@ class SimulationEngine:
                         ):
                             account, activity_end, materialized = (
                                 self._plan_account(profile, created_time)
+                                if materializer is None
+                                else self._plan_account(
+                                    profile, created_time, materializer
+                                )
                             )
                             accounts.append(account)
                             profiles.append(profile)
@@ -605,12 +539,10 @@ class SimulationEngine:
         Runs the whole-horizon plan/build path
         (:meth:`_generate_population_horizon`) with the batched
         materializer; the output -- entities, summaries and
-        post-generation RNG stream states -- is bit-identical to both
-        retained oracles: :meth:`generate_population_dayloop` (the
-        PR-3 per-day batched loop) and
-        :meth:`generate_population_scalar` (the original scalar
-        factory).  After it returns, :attr:`population_plan` holds the
-        whole-horizon registration/lifetime/churn arrays.
+        post-generation RNG stream states -- is bit-identical to the
+        retained oracle, :meth:`generate_population_scalar`.  After it
+        returns, :attr:`population_plan` holds the whole-horizon
+        registration/lifetime/churn arrays.
 
         ``on_day_complete(day)``, if given, is invoked after each day's
         registrations are fully generated -- the checkpoint runner's
@@ -619,34 +551,21 @@ class SimulationEngine:
         """
         return self._generate_population_horizon(on_day_complete)
 
-    def generate_population_dayloop(
-        self,
-        on_day_complete=None,
-    ) -> tuple[list[MaterializedAccount], list[AccountSummary]]:
-        """The per-day batched Phase 1 (PR 3), kept as an oracle.
-
-        Interleaves trim/summarize with the draws inside a per-day
-        loop.  The whole-horizon path replays exactly this draw order,
-        so both produce bit-identical populations; the differential
-        tests pin that.
-        """
-        return self._generate_population(
-            materialize_account_batch, on_day_complete
-        )
-
     def generate_population_scalar(
         self,
         on_day_complete=None,
     ) -> tuple[list[MaterializedAccount], list[AccountSummary]]:
         """The pre-vectorization Phase 1, kept as the oracle.
 
-        One entity at a time through
-        :func:`~repro.behavior.factory.materialize_account`.  Slow but
-        simple enough to trust: the differential tests assert
+        The same whole-horizon driver, materializing one entity at a
+        time through :func:`~repro.behavior.factory.materialize_account`.
+        Slow but simple enough to trust: the differential tests assert
         :meth:`generate_population` reproduces its accounts, summaries
         and RNG stream states exactly.
         """
-        return self._generate_population(materialize_account, on_day_complete)
+        return self._generate_population_horizon(
+            on_day_complete, materializer=materialize_account
+        )
 
     # ------------------------------------------------------------------
     # Phase 3: auctions

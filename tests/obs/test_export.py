@@ -5,16 +5,11 @@ from __future__ import annotations
 import json
 
 from repro.obs.__main__ import main as obs_main
-from repro.obs.export import (
-    TRACE_NAME,
-    events_to_chrome_trace,
-    export_chrome_trace,
-    worker_sort_key,
-)
+from repro.obs.export import TRACE_NAME, events_to_chrome_trace, export_chrome_trace
 
 
-def _span(span_id, name, start=0.5, dur=0.25, worker=None, attrs=None):
-    event = {
+def _span(span_id, name, start=0.5, dur=0.25, attrs=None):
+    return {
         "t": start + dur,
         "kind": "span",
         "name": name,
@@ -24,18 +19,6 @@ def _span(span_id, name, start=0.5, dur=0.25, worker=None, attrs=None):
         "dur": dur,
         "attrs": attrs or {},
     }
-    if worker is not None:
-        event["w"] = worker
-    return event
-
-
-class TestWorkerSortKey:
-    def test_natural_numeric_order(self):
-        workers = ["w10", "w2", "w1"]
-        assert sorted(workers, key=worker_sort_key) == ["w1", "w2", "w10"]
-
-    def test_non_numeric_ids_still_sort(self):
-        assert worker_sort_key("main") == ("main", -1)
 
 
 class TestChromeTraceConversion:
@@ -70,20 +53,17 @@ class TestChromeTraceConversion:
         assert [c["name"] for c in counters] == ["a", "b"]
         assert counters[0]["args"] == {"value": 1}
 
-    def test_workers_map_to_distinct_pids_with_metadata(self):
+    def test_all_events_share_one_named_process(self):
         events = [
-            _span(1, "run"),                     # implicit w0
-            _span(2, "run", worker="w1"),
-            _span(3, "run", worker="w10"),
+            _span(1, "run"),
+            {"t": 1.5, "kind": "event", "name": "heartbeat", "attrs": {}},
+            {"t": 2.0, "kind": "metrics",
+             "data": {"counters": {"x": 1}, "gauges": {}, "histograms": {}}},
         ]
         trace = events_to_chrome_trace(events)
         meta = [e for e in trace["traceEvents"] if e["ph"] == "M"]
-        assert [m["args"]["name"] for m in meta] == [
-            "repro worker w0", "repro worker w1", "repro worker w10",
-        ]
-        assert [m["pid"] for m in meta] == [1, 2, 3]
-        slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-        assert [s["pid"] for s in slices] == [1, 2, 3]
+        assert [(m["pid"], m["args"]["name"]) for m in meta] == [(1, "repro")]
+        assert {e["pid"] for e in trace["traceEvents"]} == {1}
 
     def test_resources_and_unknown_kinds_are_skipped(self):
         events = [
@@ -95,7 +75,7 @@ class TestChromeTraceConversion:
 
     def test_conversion_is_deterministic(self):
         events = [
-            _span(1, "run", worker="w1"),
+            _span(1, "run"),
             {"t": 2.0, "kind": "metrics",
              "data": {"counters": {"x": 1}, "gauges": {}, "histograms": {}}},
         ]

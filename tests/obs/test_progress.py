@@ -44,7 +44,6 @@ class TestProgressSink:
         assert payload["schema"] == PROGRESS_SCHEMA
         assert payload["status"] == "running"
         assert payload["days"] == 120
-        assert payload["worker"] == "w0"
         assert payload["updated_unix"] == 1000.0
 
     def test_heartbeat_updates_phase_day_throughput(self, tmp_path):

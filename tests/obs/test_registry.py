@@ -61,15 +61,6 @@ class TestSummarizeRun:
         assert summary["phases_s"] is None
         assert summary["validation"] is None
         assert summary["ledger"] is None
-        assert summary["bench"] is None
-
-    def test_bench_artifacts_summarized(self, tmp_path):
-        run_dir = make_run(tmp_path, "a")
-        (run_dir / "BENCH_engine.json").write_text(
-            json.dumps({"schema": "repro.bench_engine/v2", "rows": 123})
-        )
-        summary = summarize_run(run_dir)
-        assert summary["bench"]["BENCH_engine.json"]["rows"] == 123
 
 
 class TestIndexRuns:

@@ -1,12 +1,11 @@
-"""Whole-horizon Phase 1 vs the day-loop oracle, and the plan arrays.
+"""The whole-horizon Phase 1 plan arrays.
 
-:meth:`SimulationEngine.generate_population` now runs a two-pass
-whole-horizon sweep (draws, then build).  It must reproduce the
-retained PR-3 day loop (:meth:`generate_population_dayloop`) exactly:
-every summary, every entity, and the bit state of all five named RNG
-streams afterwards.  The draws pass also records a columnar
-:class:`~repro.behavior.horizon.PopulationPlan`; its slices and
-per-day aggregates must agree with the generated population.
+:meth:`SimulationEngine.generate_population` runs a two-pass
+whole-horizon sweep (draws, then build).  The draws pass records a
+columnar :class:`~repro.behavior.horizon.PopulationPlan`; its slices
+and per-day aggregates must agree with the generated population.
+Equivalence with the scalar oracle is pinned in
+``test_population_equivalence.py``.
 """
 
 import numpy as np
@@ -14,73 +13,25 @@ import pytest
 
 from repro.behavior.horizon import PlanRecorder, PopulationPlan
 from repro.config import small_config
-from repro.simulator.engine import RNG_STREAMS, SimulationEngine
-
-
-def _generate(path: str):
-    engine = SimulationEngine(small_config(seed=123, days=20))
-    if path == "horizon":
-        accounts, summaries = engine.generate_population()
-    else:
-        accounts, summaries = engine.generate_population_dayloop()
-    return engine, accounts, summaries, engine.rng_state()
+from repro.simulator.engine import SimulationEngine
 
 
 @pytest.fixture(scope="module")
-def populations():
-    return _generate("horizon"), _generate("dayloop")
-
-
-class TestHorizonEquivalence:
-    def test_rng_stream_states_identical(self, populations):
-        (_, _, _, horizon), (_, _, _, dayloop) = populations
-        assert set(horizon) == set(RNG_STREAMS)
-        assert horizon == dayloop
-
-    def test_summaries_identical(self, populations):
-        (_, _, horizon, _), (_, _, dayloop, _) = populations
-        assert len(horizon) == len(dayloop)
-        for mine, theirs in zip(horizon, dayloop):
-            for name in mine.__dataclass_fields__:
-                a = getattr(mine, name)
-                b = getattr(theirs, name)
-                if isinstance(a, np.ndarray):
-                    assert a.dtype == b.dtype, name
-                    np.testing.assert_array_equal(a, b, err_msg=name)
-                else:
-                    assert a == b, name
-
-    def test_entities_identical(self, populations):
-        (_, horizon, _, _), (_, dayloop, _, _) = populations
-        assert len(horizon) == len(dayloop)
-        for mine, theirs in zip(horizon, dayloop):
-            assert mine.activity_end == theirs.activity_end
-            assert mine.ad_mod_times == theirs.ad_mod_times
-            assert mine.kw_mod_times == theirs.kw_mod_times
-            assert [
-                (o.vertical, o.country, o.ad.ad_id, o.kw_index, o.quality,
-                 o.click_quality, o.active_from)
-                for o in mine.offers
-            ] == [
-                (o.vertical, o.country, o.ad.ad_id, o.kw_index, o.quality,
-                 o.click_quality, o.active_from)
-                for o in theirs.offers
-            ]
-
-    def test_no_account_left_pending(self, populations):
-        (_, horizon, _, _), _ = populations
-        assert all(account.pending is None for account in horizon)
+def population():
+    engine = SimulationEngine(small_config(seed=123, days=20))
+    accounts, summaries = engine.generate_population()
+    return engine, accounts, summaries
 
 
 class TestPopulationPlan:
-    def test_plan_populated_only_on_horizon_path(self, populations):
-        (engine_h, accounts, _, _), (engine_d, _, _, _) = populations
-        assert isinstance(engine_h.population_plan, PopulationPlan)
-        assert len(engine_h.population_plan) == len(accounts)
-        assert engine_d.population_plan is None
+    def test_plan_populated_by_generation(self, population):
+        engine, accounts, _ = population
+        assert SimulationEngine(small_config(seed=123, days=20)).population_plan is None
+        assert isinstance(engine.population_plan, PopulationPlan)
+        assert len(engine.population_plan) == len(accounts)
 
-    def test_plan_matches_summaries(self, populations):
-        (engine, accounts, summaries, _), _ = populations
+    def test_plan_matches_summaries(self, population):
+        engine, accounts, summaries = population
         plan = engine.population_plan
         for row, (account, summary) in enumerate(zip(accounts, summaries)):
             assert plan.created_time[row] == summary.created_time
@@ -96,13 +47,13 @@ class TestPopulationPlan:
             if not plan.materialized[row]:
                 assert account.activity_end == account.advertiser.created_time
 
-    def test_registration_day_nondecreasing(self, populations):
-        (engine, _, _, _), _ = populations
+    def test_registration_day_nondecreasing(self, population):
+        engine, _, _ = population
         days = engine.population_plan.registration_day
         assert np.all(np.diff(days) >= 0)
 
-    def test_day_slice_partitions_population(self, populations):
-        (engine, _, summaries, _), _ = populations
+    def test_day_slice_partitions_population(self, population):
+        engine, _, summaries = population
         plan = engine.population_plan
         covered = 0
         for day in range(plan.days):
@@ -112,8 +63,8 @@ class TestPopulationPlan:
                 assert int(summaries[row].created_time) == day
         assert covered == len(plan)
 
-    def test_registrations_per_day_matches_slices(self, populations):
-        (engine, _, _, _), _ = populations
+    def test_registrations_per_day_matches_slices(self, population):
+        engine, _, _ = population
         plan = engine.population_plan
         per_day = plan.registrations_per_day()
         assert per_day.sum() == len(plan)
@@ -121,8 +72,8 @@ class TestPopulationPlan:
             sl = plan.day_slice(day)
             assert per_day[day] == sl.stop - sl.start
 
-    def test_churn_and_shutdown_aggregates(self, populations):
-        (engine, _, summaries, _), _ = populations
+    def test_churn_and_shutdown_aggregates(self, population):
+        engine, _, summaries = population
         plan = engine.population_plan
         churn = plan.churn_per_day()
         expected_churn = sum(
@@ -138,8 +89,8 @@ class TestPopulationPlan:
         )
         assert shutdowns.sum() == expected_shut
 
-    def test_lifetime_is_end_minus_created(self, populations):
-        (engine, _, _, _), _ = populations
+    def test_lifetime_is_end_minus_created(self, population):
+        engine, _, _ = population
         plan = engine.population_plan
         np.testing.assert_array_equal(
             plan.lifetime, plan.activity_end - plan.created_time

@@ -83,6 +83,18 @@ class TestRunnerCli:
         assert code == 2
         assert "checkpoint_every must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("days", ["0", "-3"])
+    def test_invalid_days_fails_cleanly(self, tmp_path, capsys, days):
+        # Config-time ConfigError from the --days override: exit 2 with
+        # the one-line message, and no run directory left behind.
+        run_dir = tmp_path / "run"
+        code = runner_main(
+            ["--checkpoint-dir", str(run_dir), "--small", "--days", days]
+        )
+        assert code == 2
+        assert "days must be > 0" in capsys.readouterr().err
+        assert not run_dir.exists()
+
 
 class TestVerifyDoctorCli:
     """`python -m repro.runner verify|doctor` and `--run-dir` validation."""
