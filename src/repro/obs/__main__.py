@@ -400,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     diff.add_argument(
         "--json",
         action="store_true",
-        help="emit the diff as a JSON document (repro.diff/v1)",
+        help="emit the diff as a JSON document (repro.diff/v2)",
     )
     diff.add_argument(
         "--out",

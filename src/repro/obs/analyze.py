@@ -61,7 +61,7 @@ __all__ = [
     "policy_effects",
     "analyze_rows",
     "analyze_run",
-    "render_analysis",
+    "analysis_to_text",
 ]
 
 #: Analysis artifact name inside a run directory.
@@ -424,10 +424,6 @@ def analysis_to_text(document: dict, source: str | Path | None = None) -> str:
     if not (document["anomalies"] or document["level_shifts"] or effects):
         lines.append("nothing unusual: no anomalies, shifts, or policy days")
     return "\n".join(lines)
-
-
-#: Backwards-compatible alias used by the dashboard.
-render_analysis = analysis_to_text
 
 
 def analysis_json(document: dict) -> str:

@@ -13,8 +13,8 @@ helper.  CI renders the dashboard twice and ``cmp``s the two files.
 
 Sections, in order:
 
-* **metadata** -- manifest fields (seed, days, phase, chunk format,
-  config digest, package version) plus registry-style ledger totals;
+* **metadata** -- manifest fields (seed, days, phase, config digest,
+  package version) plus registry-style ledger totals;
 * **sparklines** -- one inline-SVG sparkline per ledger series
   (:data:`~repro.obs.timeseries.LEDGER_SERIES` plus the flattened
   ``shutdowns.*`` stages), with per-day anomaly markers from
@@ -282,7 +282,6 @@ def _metadata_section(run_dir: Path, data: RunData) -> list[str]:
         ("seed", summary.get("seed")),
         ("days", summary.get("days")),
         ("phase", summary.get("phase")),
-        ("chunk format", summary.get("chunk_format")),
         ("chunks / rows", f"{summary.get('chunks', 0)} / "
                           f"{_num(summary.get('rows', 0))}"),
         ("config sha256", (summary.get("config_sha256") or "-")[:16]),

@@ -44,7 +44,6 @@ rule, because "the artifact disappeared" is itself a regression.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,7 +69,7 @@ __all__ = [
     "render_diff",
 ]
 
-DIFF_SCHEMA = "repro.diff/v1"
+DIFF_SCHEMA = "repro.diff/v2"
 
 #: Days on each side of a policy change over which window means are
 #: computed (four weeks -- matches the paper's quarter-scale framing of
@@ -91,11 +90,6 @@ class RunData:
     metrics: dict | None
     validation: dict | None
     ledger_rows: list[dict] | None
-    #: On-disk impression chunk format, from ``MANIFEST.json``
-    #: (``"npz"`` for pre-columnar manifests, ``None`` without a
-    #: readable manifest).  Informational only: the diff never reads
-    #: chunk bytes, so runs in different formats stay fully comparable.
-    chunk_format: str | None = None
     #: Resource envelope (:mod:`repro.obs.resources` summary) from the
     #: run's telemetry, ``None`` when the run recorded none.
     resources: dict | None = None
@@ -140,14 +134,6 @@ def load_run(run_dir: str | Path) -> RunData:
             data.notes.append(f"telemetry unreadable: {exc}")
     else:
         data.notes.append("no telemetry.jsonl")
-    manifest_path = run_dir / "MANIFEST.json"
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-            if isinstance(manifest, dict):
-                data.chunk_format = str(manifest.get("chunk_format", "npz"))
-        except (OSError, ValueError):
-            data.notes.append("manifest unreadable")
     data.validation = load_validation(run_dir)
     if data.validation is None:
         data.notes.append("no validation artifact")
@@ -409,7 +395,7 @@ def diff_json(
     rules: dict[str, float] | None = None,
     violations: list[str] | None = None,
 ) -> dict:
-    """The diff as a machine-readable document (``repro.diff/v1``).
+    """The diff as a machine-readable document (``repro.diff/v2``).
 
     Same content as :func:`render_diff` -- phase timings, counter
     deltas, validation pass/miss, per-series divergence, policy-window
@@ -465,10 +451,6 @@ def diff_json(
         },
         "policy_windows": policy_windows,
         "rss_peak_kb": {"a": peak(diff.a), "b": peak(diff.b)},
-        "chunk_formats": {
-            "a": diff.a.chunk_format,
-            "b": diff.b.chunk_format,
-        },
         "notes": {"a": list(diff.a.notes), "b": list(diff.b.notes)},
     }
     if rules is not None:
@@ -571,16 +553,6 @@ def render_diff(diff: RunDiff, top_series: int = 12) -> str:
     notes = [f"a: {n}" for n in diff.a.notes] + [
         f"b: {n}" for n in diff.b.notes
     ]
-    if (
-        diff.a.chunk_format is not None
-        and diff.b.chunk_format is not None
-        and diff.a.chunk_format != diff.b.chunk_format
-    ):
-        notes.append(
-            f"chunk formats differ (a: {diff.a.chunk_format}, "
-            f"b: {diff.b.chunk_format}); the diff never reads chunk "
-            f"bytes, so every axis above is format-independent"
-        )
     if notes:
         lines.append("")
         lines.append("notes:")

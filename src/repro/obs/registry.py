@@ -234,9 +234,6 @@ def summarize_run(run_dir: str | Path) -> dict | None:
         "seed": manifest.get("seed"),
         "days": manifest.get("days"),
         "phase": manifest.get("phase"),
-        # Pre-columnar manifests never wrote the key; those runs are
-        # npz by construction (mirrors RunManifest.load's default).
-        "chunk_format": manifest.get("chunk_format", "npz"),
         "config_sha256": manifest.get("config_sha256"),
         "package_version": manifest.get("package_version"),
         "chunks": len(chunks),
@@ -278,7 +275,7 @@ def index_runs(root: str | Path, out: str | Path | None = None) -> dict:
         if summary is not None and summary["path"] not in seen:
             seen.add(summary["path"])
             runs.append(summary)
-    index = {"schema": "repro.runs/v1", "root": str(root), "runs": runs}
+    index = {"schema": "repro.runs/v2", "root": str(root), "runs": runs}
     if out is not None:
         from ..records.atomic import atomic_write_text
 

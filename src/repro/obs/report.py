@@ -4,7 +4,8 @@ The report has three sections:
 
 * **span tree** -- every span aggregated by its name-path (the chain
   of ancestor span names), rendered as an indented timing table with
-  count / total / mean / max columns;
+  count / total / self / mean / max columns, where *self* is the total
+  minus the totals of the direct child paths (time no child span covers);
 * **events** -- point events (checkpoints, heartbeats, faults)
   aggregated by name, with the attributes of the last occurrence;
 * **metrics** -- the *last* metrics snapshot in the file (snapshots
@@ -101,15 +102,25 @@ def aggregate_spans(events: list[dict]) -> dict[tuple[str, ...], dict]:
     return aggregated
 
 
+def _self_times(aggregated: dict[tuple[str, ...], dict]) -> dict[tuple[str, ...], float]:
+    """Each name-path's total minus the totals of its direct child paths."""
+    self_s = {path: record["total"] for path, record in aggregated.items()}
+    for path, record in aggregated.items():
+        if path[:-1] in self_s:
+            self_s[path[:-1]] -= record["total"]
+    return self_s
+
+
 def _render_span_tree(aggregated: dict[tuple[str, ...], dict]) -> list[str]:
     name_width = max(
         [len("  " * (len(path) - 1) + path[-1]) for path in aggregated],
         default=4,
     )
     name_width = max(name_width, len("span"))
+    self_s = _self_times(aggregated)
     lines = [
         f"{'span':<{name_width}}  {'count':>7}  {'total_s':>10}  "
-        f"{'mean_s':>10}  {'max_s':>10}"
+        f"{'self_s':>10}  {'mean_s':>10}  {'max_s':>10}"
     ]
 
     def walk(prefix: tuple[str, ...]) -> None:
@@ -129,8 +140,8 @@ def _render_span_tree(aggregated: dict[tuple[str, ...], dict]) -> list[str]:
                 mean = record["total"] / record["count"]
                 lines.append(
                     f"{label:<{name_width}}  {record['count']:>7}  "
-                    f"{record['total']:>10.3f}  {mean:>10.4f}  "
-                    f"{record['max']:>10.4f}"
+                    f"{record['total']:>10.3f}  {self_s[child]:>10.3f}  "
+                    f"{mean:>10.4f}  {record['max']:>10.4f}"
                 )
             walk(child)
 
@@ -237,6 +248,7 @@ def report_json(
     final metrics snapshot, and the resource envelope when recorded.
     """
     aggregated = aggregate_spans(events)
+    self_s = _self_times(aggregated)
     spans = []
     for path in sorted(aggregated):
         record = aggregated[path]
@@ -245,6 +257,7 @@ def report_json(
                 "path": "/".join(path),
                 "count": record["count"],
                 "total_s": round(record["total"], 6),
+                "self_s": round(self_s[path], 6),
                 "mean_s": round(record["total"] / record["count"], 6),
                 "max_s": round(record["max"], 6),
             }
@@ -272,31 +285,11 @@ def report_json(
     }
 
 
-def _layout_notices(aggregated: dict[tuple[str, ...], dict]) -> list[str]:
-    """Informational notes about recognizably old span layouts.
-
-    Aggregation is generic (any span tree renders), so a pre-columnar
-    run directory never crashes the report -- but its Phase-1 tree uses
-    the retired per-day layout, and silently rendering it invites
-    apples-to-oranges comparisons with whole-horizon runs.  Say so.
-    """
-    notices: list[str] = []
-    if any(path[-1] == "phase1.day" for path in aggregated):
-        notices.append(
-            "note: legacy per-day phase1 span layout (phase1.day); "
-            "recorded before the whole-horizon draws/build split"
-        )
-    return notices
-
-
 def render_report(events: list[dict], source: str | Path | None = None) -> str:
     """Full text report for one telemetry event list."""
     header = "telemetry report" + (f": {source}" if source else "")
     sections: list[list[str]] = [[header, f"{len(events)} events"]]
     aggregated = aggregate_spans(events)
-    notices = _layout_notices(aggregated)
-    if notices:
-        sections.append(notices)
     if aggregated:
         sections.append(_render_span_tree(aggregated))
     event_lines = _render_events(events)

@@ -14,12 +14,7 @@ damage back to vouched bytes.  CLI::
     python -m repro.runner doctor RUNS/x --repair
 """
 
-from .chunkstore import (
-    CHUNK_FORMATS,
-    DEFAULT_CHUNK_FORMAT,
-    chunk_to_bytes,
-    load_chunk,
-)
+from .chunkstore import chunk_to_bytes, load_chunk
 from .doctor import RepairReport, VerifyReport, repair_run, verify_run
 from .faults import (
     IO_BITROT,
@@ -35,8 +30,6 @@ from .runner import CheckpointRunner
 
 __all__ = [
     "CheckpointRunner",
-    "CHUNK_FORMATS",
-    "DEFAULT_CHUNK_FORMAT",
     "chunk_to_bytes",
     "load_chunk",
     "RunManifest",

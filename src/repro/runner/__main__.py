@@ -74,17 +74,6 @@ def _main_run(argv: list[str]) -> int:
         default=None,
         help="also write the validation report to this path",
     )
-    from .chunkstore import CHUNK_FORMATS, DEFAULT_CHUNK_FORMAT
-
-    parser.add_argument(
-        "--chunk-format",
-        choices=CHUNK_FORMATS,
-        default=DEFAULT_CHUNK_FORMAT,
-        help=(
-            "on-disk impression chunk format for fresh runs (resume "
-            "always keeps the directory's recorded format)"
-        ),
-    )
     args = parser.parse_args(argv)
     obs.setup_logging()
 
@@ -105,7 +94,6 @@ def _main_run(argv: list[str]) -> int:
             config,
             args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
-            chunk_format=args.chunk_format,
         )
         result = runner.run(resume=args.resume)
     except ReproError as exc:

@@ -1,158 +1,64 @@
-"""Impression-chunk serialization formats for the checkpoint runner.
+"""Impression chunks: their names and their bytes.
 
-A run directory's ``chunks/`` files can be stored in one of three
-formats, recorded in the manifest's ``chunk_format`` field so resume,
-``verify`` and ``doctor --repair`` always read what was written:
+Every file under a run directory's ``chunks/`` is a
+:mod:`repro.records.columnar` bundle (``.npc``) -- per-column ``.npy``
+payloads with individual SHA-256 checksums, seekable by column -- and
+is named after the day range it covers, so a chunk's path follows from
+its manifest entry alone.  Greppable rows come from the dataset export
+(``python -m repro.records OUT``), not from the run directory.
 
-``columnar`` (default, ``.npc``)
-    A :mod:`repro.records.columnar` bundle -- per-column ``.npy``
-    payloads with individual SHA-256 checksums, seekable by column.
-    Byte-stable by construction.
-``npz`` (legacy, ``.npz``)
-    ``np.savez_compressed`` archive -- what every run written before
-    the columnar store used.  Manifests that predate ``chunk_format``
-    map to this.  numpy pins the zip member timestamp, so these bytes
-    are deterministic too.
-``jsonl`` (export, ``.jsonl``)
-    One JSON object per row in storage-field order.  Slow and large,
-    but greppable and diffable; Python's ``repr``-based float
-    serialization round-trips every ``float64`` exactly, so even this
-    format is bit-exact and replayable.
-
-All three serializers are *deterministic*: the same drained arrays
-always produce the same bytes.  That is the property the doctor's
-repair path stands on -- it re-simulates a damaged day range, feeds the
-drained chunk back through :func:`chunk_to_bytes`, and refuses to write
-unless the bytes hash to what the manifest vouched.
+The serializer is *deterministic*: the same drained arrays always
+produce the same bytes.  That is the property the doctor's repair path
+stands on -- it re-simulates a damaged day range, feeds the drained
+chunk back through :func:`chunk_to_bytes`, and refuses to write unless
+the bytes hash to what the manifest vouched.
 """
 
 from __future__ import annotations
 
-import io
-import json
 from pathlib import Path
 
-import numpy as np
-
-from ..errors import RecordError, SimulationError
+from ..errors import RecordError
 from ..records.columnar import columns_to_bytes, read_columns
 from ..records.impressions import ImpressionTable
 
 __all__ = [
-    "CHUNK_FORMATS",
-    "DEFAULT_CHUNK_FORMAT",
-    "LEGACY_CHUNK_FORMAT",
+    "CHUNK_DIR",
     "chunk_file_name",
-    "chunk_suffix",
     "chunk_to_bytes",
     "load_chunk",
 ]
 
-#: Formats a manifest's ``chunk_format`` may name.
-CHUNK_FORMATS = ("columnar", "npz", "jsonl")
-#: Format new runs are written in.
-DEFAULT_CHUNK_FORMAT = "columnar"
-#: Format assumed for manifests written before ``chunk_format`` existed.
-LEGACY_CHUNK_FORMAT = "npz"
+#: Run-directory subdirectory holding the chunks.
+CHUNK_DIR = "chunks"
 
-_SUFFIXES = {"columnar": ".npc", "npz": ".npz", "jsonl": ".jsonl"}
-
-_FIELD_DTYPES = ImpressionTable.field_dtypes()
 _FIELD_NAMES = ImpressionTable.field_names()
 
 
-def _check_format(chunk_format: str) -> None:
-    if chunk_format not in CHUNK_FORMATS:
-        raise SimulationError(
-            f"unknown chunk format {chunk_format!r}; "
-            f"expected one of {CHUNK_FORMATS}"
-        )
+def chunk_file_name(day_start: int, day_end: int) -> str:
+    """Canonical chunk file name for days ``[day_start, day_end)``."""
+    return f"chunk-{day_start:05d}-{day_end:05d}.npc"
 
 
-def chunk_suffix(chunk_format: str) -> str:
-    """File suffix for chunks of the given format."""
-    _check_format(chunk_format)
-    return _SUFFIXES[chunk_format]
-
-
-def chunk_file_name(day_start: int, day_end: int, chunk_format: str) -> str:
-    """Canonical chunk file name for a day range in a format."""
-    return (
-        f"chunk-{day_start:05d}-{day_end:05d}{chunk_suffix(chunk_format)}"
+def chunk_to_bytes(chunk: dict, day_start: int, day_end: int) -> bytes:
+    """Serialize a drained builder chunk deterministically."""
+    ordered = {name: chunk[name] for name in _FIELD_NAMES}
+    return columns_to_bytes(
+        ordered, meta={"day_end": day_end, "day_start": day_start}
     )
 
 
-def chunk_to_bytes(
-    chunk: dict, chunk_format: str, day_start: int, day_end: int
-) -> bytes:
-    """Serialize a drained builder chunk deterministically."""
-    _check_format(chunk_format)
-    if chunk_format == "columnar":
-        ordered = {name: chunk[name] for name in _FIELD_NAMES}
-        return columns_to_bytes(
-            ordered, meta={"day_end": day_end, "day_start": day_start}
-        )
-    if chunk_format == "npz":
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **chunk)
-        return buffer.getvalue()
-    rows = len(chunk["day"])
-    lines = []
-    for i in range(rows):
-        record = {}
-        for name in _FIELD_NAMES:
-            value = chunk[name][i]
-            record[name] = value.item() if hasattr(value, "item") else value
-        lines.append(json.dumps(record, separators=(",", ":")))
-    lines.append("")
-    return "\n".join(lines).encode("utf-8")
-
-
-def load_chunk(path: str | Path, chunk_format: str) -> dict | None:
+def load_chunk(path: str | Path) -> dict | None:
     """Load a chunk's per-field arrays, or ``None`` if malformed.
 
-    A return of ``None`` means the file is structurally not a chunk of
-    this format (wrong container, wrong field set) -- callers treat it
+    A return of ``None`` means the file is structurally not a chunk
+    (not a columnar bundle, wrong field set) -- callers treat it
     exactly like a checksum failure.  IO errors propagate.
     """
-    _check_format(chunk_format)
-    path = Path(path)
-    if chunk_format == "columnar":
-        try:
-            columns = read_columns(path)
-        except RecordError:
-            return None
-        if set(columns) != set(_FIELD_NAMES):
-            return None
-        return columns
-    if chunk_format == "npz":
-        try:
-            with np.load(path) as archive:
-                if set(archive.files) != set(_FIELD_NAMES):
-                    return None
-                return {name: archive[name] for name in archive.files}
-        except (OSError, ValueError):
-            # np.load raises OSError/ValueError on non-zip garbage.
-            if path.exists():
-                return None
-            raise
-    columns: dict[str, list] = {name: [] for name in _FIELD_NAMES}
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
+        columns = read_columns(path)
+    except RecordError:
         return None
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(record, dict) or set(record) != set(_FIELD_NAMES):
-            return None
-        for name in _FIELD_NAMES:
-            columns[name].append(record[name])
-    return {
-        name: np.asarray(columns[name], dtype=_FIELD_DTYPES[name])
-        for name in _FIELD_NAMES
-    }
+    if set(columns) != set(_FIELD_NAMES):
+        return None
+    return columns

@@ -1,13 +1,21 @@
 """The run-directory manifest.
 
-One JSON document (``MANIFEST.json``) is the single source of truth for
-what a run directory durably contains: the configuration hash the run
-was started with, the package version, a SHA-256 checksum for every
-artifact, the per-chunk impression index, and the serialized
-``bit_generator`` states of all five named RNG streams at each
-checkpoint.  The manifest is always rewritten atomically *after* the
-artifacts it references are durable, so resume can trust exactly what
-it lists and nothing else.
+One JSON document (``MANIFEST.json``, format ``repro-run/2``) is the
+single source of truth for what a run directory durably contains: the
+configuration the run was started with (embedded in full, plus its
+hash), the package version, a SHA-256 checksum for every artifact, the
+per-chunk impression index, and the serialized ``bit_generator`` states
+of all five named RNG streams at each checkpoint.  The manifest is
+always rewritten atomically *after* the artifacts it references are
+durable, so resume can trust exactly what it lists and nothing else.
+
+:meth:`RunManifest.load` refuses any other format -- a run directory
+written under ``repro-run/1`` is re-run, not read (runs are
+seed-deterministic, so the re-run reproduces its output) -- and any
+manifest naming a file outside the canonical layout: every chunk entry
+must be ``chunks/`` plus the :func:`~repro.runner.chunkstore.chunk_file_name`
+of its day range, and every artifact a plain file name in the run
+directory, so no manifest can point resume or the doctor elsewhere.
 
 PCG64 states are plain nested dicts of ints, so they round-trip through
 JSON losslessly -- restoring them reproduces the exact draw sequence,
@@ -27,7 +35,7 @@ from .._version import __version__
 from ..config import SimulationConfig, config_from_dict
 from ..errors import ConfigError, SimulationError
 from ..records.atomic import atomic_write_text
-from .chunkstore import CHUNK_FORMATS, DEFAULT_CHUNK_FORMAT, LEGACY_CHUNK_FORMAT
+from .chunkstore import CHUNK_DIR, chunk_file_name
 
 __all__ = [
     "MANIFEST_NAME",
@@ -38,7 +46,7 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "MANIFEST.json"
-MANIFEST_FORMAT = "repro-run/1"
+MANIFEST_FORMAT = "repro-run/2"
 
 #: Phases a run directory can durably be in.  ``phase1`` means the
 #: population is still being generated (nothing durable yet beyond the
@@ -95,10 +103,14 @@ class RunManifest:
     seed: int
     days: int
     checkpoint_every: int
+    #: The full configuration (``dataclasses.asdict`` form), embedded
+    #: so ``verify``/``doctor`` can re-simulate damaged artifacts
+    #: without the caller re-supplying CLI flags.
+    config: dict
     phase: str = "phase1"
     format: str = MANIFEST_FORMAT
     package_version: str = __version__
-    #: Relative artifact path -> hex SHA-256: the phase1/market
+    #: Artifact file name -> hex SHA-256: the phase1/market
     #: snapshots plus the day ledger at its last durable flush -- every
     #: non-chunk artifact the doctor can vouch for.
     artifacts: dict[str, str] = field(default_factory=dict)
@@ -106,23 +118,9 @@ class RunManifest:
     #: snapshot became durable); the resume point when no chunk exists.
     phase3_start_rng: dict | None = None
     chunks: list[ChunkEntry] = field(default_factory=list)
-    #: Serialization format of every file under ``chunks/`` (see
-    #: :mod:`repro.runner.chunkstore`).  Manifests written before this
-    #: field existed load as ``"npz"``, the only format that existed.
-    chunk_format: str = DEFAULT_CHUNK_FORMAT
-    #: The full configuration (``dataclasses.asdict`` form), embedded
-    #: so ``verify``/``doctor`` can re-simulate damaged artifacts
-    #: without the caller re-supplying CLI flags.  ``None`` only for
-    #: manifests written before this field existed.
-    config: dict | None = None
 
     @classmethod
-    def fresh(
-        cls,
-        config: SimulationConfig,
-        checkpoint_every: int,
-        chunk_format: str = DEFAULT_CHUNK_FORMAT,
-    ) -> "RunManifest":
+    def fresh(cls, config: SimulationConfig, checkpoint_every: int) -> "RunManifest":
         """Manifest for a run that has not generated anything yet."""
         return cls(
             config_sha256=config_sha256(config),
@@ -130,19 +128,15 @@ class RunManifest:
             days=config.days,
             checkpoint_every=checkpoint_every,
             config=dataclasses.asdict(config),
-            chunk_format=chunk_format,
         )
 
-    def simulation_config(self) -> SimulationConfig | None:
+    def simulation_config(self) -> SimulationConfig:
         """Rebuild the embedded configuration, verifying its hash.
 
-        Returns ``None`` for pre-doctor manifests that carry only the
-        hash; raises :class:`SimulationError` if the embedded config no
+        Raises :class:`SimulationError` if the embedded config no
         longer matches ``config_sha256`` (a hand-edited manifest must
         not smuggle in a different run).
         """
-        if self.config is None:
-            return None
         try:
             config = config_from_dict(self.config)
         except ConfigError as exc:
@@ -194,7 +188,9 @@ class RunManifest:
         if payload.get("format") != MANIFEST_FORMAT:
             raise SimulationError(
                 f"manifest {path} has format {payload.get('format')!r}, "
-                f"expected {MANIFEST_FORMAT!r}"
+                f"expected {MANIFEST_FORMAT!r}; re-run the simulation into "
+                f"a fresh directory (runs are seed-deterministic, so the "
+                f"re-run reproduces its output exactly)"
             )
         try:
             manifest = cls(
@@ -202,6 +198,7 @@ class RunManifest:
                 seed=int(payload["seed"]),
                 days=int(payload["days"]),
                 checkpoint_every=int(payload["checkpoint_every"]),
+                config=dict(payload["config"]),
                 phase=str(payload["phase"]),
                 format=str(payload["format"]),
                 package_version=str(payload["package_version"]),
@@ -210,10 +207,6 @@ class RunManifest:
                 chunks=[
                     ChunkEntry.from_dict(chunk) for chunk in payload["chunks"]
                 ],
-                config=payload.get("config"),
-                chunk_format=str(
-                    payload.get("chunk_format", LEGACY_CHUNK_FORMAT)
-                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SimulationError(f"malformed manifest {path}: {exc}") from None
@@ -221,13 +214,20 @@ class RunManifest:
             raise SimulationError(
                 f"manifest {path} has unknown phase {manifest.phase!r}"
             )
-        if manifest.chunk_format not in CHUNK_FORMATS:
-            raise SimulationError(
-                f"manifest {path} has unknown chunk format "
-                f"{manifest.chunk_format!r}"
-            )
+        for name in manifest.artifacts:
+            if name in ("", ".", "..") or "/" in name:
+                raise SimulationError(
+                    f"manifest {path}: artifact {name!r} is not a file "
+                    f"name in the run directory"
+                )
         previous_end = 0
         for chunk in manifest.chunks:
+            expected = f"{CHUNK_DIR}/{chunk_file_name(chunk.day_start, chunk.day_end)}"
+            if chunk.file != expected:
+                raise SimulationError(
+                    f"manifest {path}: chunk file {chunk.file!r} for days "
+                    f"[{chunk.day_start}, {chunk.day_end}) is not {expected!r}"
+                )
             if chunk.day_start != previous_end or chunk.day_end <= chunk.day_start:
                 raise SimulationError(
                     f"manifest {path}: chunk index is not a contiguous "

@@ -10,11 +10,12 @@ Run directory layout::
         chunk-00000-00007.npc   impression rows for days [0, 7), append-only
         chunk-00007-00014.npc   ...
 
-Chunks are columnar bundles (:mod:`repro.records.columnar`) by default;
-the manifest's ``chunk_format`` field records which of the three
-:mod:`repro.runner.chunkstore` formats (``columnar``/``npz``/``jsonl``)
-a directory uses, and resume always reads/writes the recorded format
-regardless of what a fresh run would pick.
+Chunks are columnar bundles (:mod:`repro.records.columnar`) named by
+:mod:`repro.runner.chunkstore` after their day range.  The manifest is
+format ``repro-run/2`` (:mod:`repro.runner.manifest`); resume refuses
+a directory written under any other format -- re-run it instead, the
+output is seed-deterministic -- and a manifest naming any file outside
+this layout, with :class:`~repro.errors.SimulationError`.
 
 Crash-consistency protocol: every artifact lands via tmp-file + fsync +
 ``os.replace`` (:mod:`repro.records.atomic`), and ``MANIFEST.json`` is
@@ -67,12 +68,7 @@ from ..records.impressions import ImpressionBuilder
 from ..simulator.engine import SimulationEngine
 from ..simulator.market import MarketIndex
 from ..simulator.results import SimulationResult
-from .chunkstore import (
-    DEFAULT_CHUNK_FORMAT,
-    chunk_file_name,
-    chunk_to_bytes,
-    load_chunk,
-)
+from .chunkstore import CHUNK_DIR, chunk_file_name, chunk_to_bytes, load_chunk
 from .faults import FaultPlan
 from .manifest import MANIFEST_NAME, ChunkEntry, RunManifest, config_sha256
 
@@ -86,7 +82,6 @@ __all__ = [
 
 PHASE1_NAME = "phase1.pkl"
 MARKET_NAME = "market.pkl"
-CHUNK_DIR = "chunks"
 
 # Runner telemetry handles (repro.obs).
 _CHUNKS_WRITTEN = obs.counter("runner.chunks_written")
@@ -110,17 +105,12 @@ class CheckpointRunner:
         ledger: bool = True,
         progress: bool = True,
         resources: bool = True,
-        chunk_format: str = DEFAULT_CHUNK_FORMAT,
     ) -> None:
         if checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
-        # Validate the format up front (fail fast on typos); a resumed
-        # run later overrides this with whatever its manifest records.
-        chunk_file_name(0, 0, chunk_format)
         self.config = config
         self.run_dir = Path(run_dir)
         self.checkpoint_every = checkpoint_every
-        self.chunk_format = chunk_format
         self.telemetry = telemetry
         self.ledger = ledger
         self.progress = progress
@@ -310,22 +300,14 @@ class CheckpointRunner:
                 manifest = RunManifest.load(self.manifest_path)
                 self._check_compatible(manifest)
                 manifest.checkpoint_every = self.checkpoint_every
-                # The directory's existing chunks dictate the format;
-                # a fresh-run preference never rewrites history.
-                self.chunk_format = manifest.chunk_format
                 obs.event(
                     "runner.resume",
                     phase=manifest.phase,
                     next_day=manifest.next_day,
                     chunks=len(manifest.chunks),
-                    chunk_format=manifest.chunk_format,
                 )
             else:
-                manifest = RunManifest.fresh(
-                    self.config,
-                    self.checkpoint_every,
-                    chunk_format=self.chunk_format,
-                )
+                manifest = RunManifest.fresh(self.config, self.checkpoint_every)
                 manifest.save(self.manifest_path)
                 obs.event(
                     "runner.start",
@@ -462,11 +444,6 @@ class CheckpointRunner:
     # Phase 3: chunked auctions
     # ------------------------------------------------------------------
 
-    def _chunk_path(self, day_start: int, day_end: int) -> Path:
-        return self.chunk_dir / chunk_file_name(
-            day_start, day_end, self.chunk_format
-        )
-
     def _validate_chunks(self, manifest: RunManifest) -> list[dict]:
         """Verify and load every durable chunk, pruning a corrupt tail.
 
@@ -480,7 +457,7 @@ class CheckpointRunner:
             path = self.run_dir / entry.file
             intact = path.exists() and sha256_file(path) == entry.sha256
             if intact:
-                chunk = load_chunk(path, manifest.chunk_format)
+                chunk = load_chunk(path)
                 if chunk is None:
                     intact = False
                 else:
@@ -548,12 +525,12 @@ class CheckpointRunner:
         day_start: int,
         day_end: int,
     ) -> None:
-        path = self._chunk_path(day_start, day_end)
-        data = chunk_to_bytes(chunk, self.chunk_format, day_start, day_end)
-        atomic_write_bytes(path, data)
+        name = f"{CHUNK_DIR}/{chunk_file_name(day_start, day_end)}"
+        data = chunk_to_bytes(chunk, day_start, day_end)
+        atomic_write_bytes(self.run_dir / name, data)
         manifest.chunks.append(
             ChunkEntry(
-                file=f"{CHUNK_DIR}/{path.name}",
+                file=name,
                 sha256=sha256_bytes(data),
                 day_start=day_start,
                 day_end=day_end,
@@ -571,7 +548,7 @@ class CheckpointRunner:
             day_start=day_start,
             day_end=day_end,
             rows=int(len(chunk["day"])),
-            file=f"{CHUNK_DIR}/{path.name}",
+            file=name,
         )
         # The manifest just became durable; make the telemetry match it.
         if self._sink is not None:

@@ -105,12 +105,6 @@ def _validate_run_dir(args: argparse.Namespace) -> int:
             )
             return 2
         config = manifest.simulation_config()
-        if config is None:
-            log.error(
-                "%s: manifest predates embedded configs; re-run or pass "
-                "the config explicitly via the runner CLI", args.run_dir,
-            )
-            return 2
         # A completed run resumes without simulating a day: snapshots
         # and chunks are checksum-verified and reloaded.  Telemetry and
         # ledger sinks stay off -- validation must not mutate the run.

@@ -395,7 +395,7 @@ class TestDiffJson:
         b = make_run(tmp_path, "b")
         assert obs_main(["diff", str(a), str(b), "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["schema"] == "repro.diff/v1"
+        assert document["schema"] == "repro.diff/v2"
 
     def test_cli_json_out_writes_file(self, tmp_path, capsys):
         a = make_run(tmp_path, "a")
@@ -404,7 +404,7 @@ class TestDiffJson:
         code = obs_main(["diff", str(a), str(b), "--json", "--out", str(target)])
         assert code == 0
         assert f"wrote diff -> {target}" in capsys.readouterr().out
-        assert json.loads(target.read_text())["schema"] == "repro.diff/v1"
+        assert json.loads(target.read_text())["schema"] == "repro.diff/v2"
 
     def test_cli_out_without_json_exits_2(self, tmp_path, capsys):
         a = make_run(tmp_path, "a")

@@ -70,7 +70,7 @@ class TestIndexRuns:
         (tmp_path / "scratch").mkdir()  # no manifest: not a run
         out = tmp_path / RUNS_INDEX_NAME
         index = index_runs(tmp_path, out=out)
-        assert index["schema"] == "repro.runs/v1"
+        assert index["schema"] == "repro.runs/v2"
         assert [run["dir"] for run in index["runs"]] == ["a", "b"]
         assert json.loads(out.read_text())["runs"][0]["dir"] == "a"
 

@@ -76,6 +76,39 @@ class TestAggregateSpans:
         assert agg[("run", "phase", "day")]["total"] == pytest.approx(1.0)
         assert agg[("run", "phase", "day")]["max"] == pytest.approx(0.6)
 
+    def test_self_time_excludes_direct_children(self):
+        # run 2.0 = phase 1.0 + io 0.5 + 0.5 self; phase 1.0 = its two
+        # days; io has no children, so all of it is self time.
+        events = [
+            _span(1, None, "run", dur=2.0),
+            _span(2, 1, "phase", dur=1.0),
+            _span(3, 2, "day", dur=0.4),
+            _span(4, 2, "day", dur=0.6),
+            _span(5, 1, "io", dur=0.5),
+        ]
+        doc = report_json(events)
+        self_s = {span["path"]: span["self_s"] for span in doc["spans"]}
+        assert self_s == {
+            "run": 0.5,
+            "run/phase": 0.0,
+            "run/phase/day": 1.0,
+            "run/io": 0.5,
+        }
+        lines = render_report(events).splitlines()
+        header = next(line for line in lines if line.startswith("span"))
+        assert header.split() == [
+            "span", "count", "total_s", "self_s", "mean_s", "max_s"
+        ]
+        rows = {
+            line.split()[0]: line.split()
+            for line in lines[lines.index(header) + 1 :]
+            if line.strip()
+        }
+        assert rows["run"][2:4] == ["2.000", "0.500"]
+        assert rows["phase"][2:4] == ["1.000", "0.000"]
+        assert rows["day"][1:4] == ["2", "1.000", "1.000"]
+        assert rows["io"][2:4] == ["0.500", "0.500"]
+
     def test_orphaned_span_becomes_root(self):
         # Parent id 99 never reached the file (lost in a crash).
         agg = aggregate_spans([_span(1, 99, "day")])

@@ -1,24 +1,16 @@
-"""The three chunk formats: identity, resume, doctor, and legacy load."""
-
-import json
+"""The ``.npc`` chunk store: round trip, runs, doctor repair."""
 
 import numpy as np
-import pytest
 
-from repro.errors import SimulationError
 from repro.records.columnar import read_header
 from repro.runner import (
-    CHUNK_FORMATS,
     CheckpointRunner,
-    FaultPlan,
-    InjectedCrash,
-    RunManifest,
     chunk_to_bytes,
     load_chunk,
     repair_run,
     verify_run,
 )
-from repro.runner.chunkstore import chunk_file_name, chunk_suffix
+from repro.runner.chunkstore import chunk_file_name
 
 from .conftest import assert_results_identical
 
@@ -41,98 +33,45 @@ def _rows(n, seed=0):
 
 
 class TestChunkstore:
-    @pytest.mark.parametrize("fmt", CHUNK_FORMATS)
-    def test_round_trip_and_determinism(self, tmp_path, fmt):
+    def test_round_trip_and_determinism(self, tmp_path):
         chunk = _rows(17)
-        blob = chunk_to_bytes(chunk, fmt, 0, 7)
-        assert blob == chunk_to_bytes(
-            {k: v.copy() for k, v in chunk.items()}, fmt, 0, 7
-        )
-        path = tmp_path / chunk_file_name(0, 7, fmt)
+        blob = chunk_to_bytes(chunk, 0, 7)
+        assert blob == chunk_to_bytes({k: v.copy() for k, v in chunk.items()}, 0, 7)
+        path = tmp_path / chunk_file_name(0, 7)
         path.write_bytes(blob)
-        back = load_chunk(path, fmt)
+        back = load_chunk(path)
         for name, values in chunk.items():
             assert back[name].dtype == values.dtype, name
             assert np.array_equal(back[name], values), name
 
-    @pytest.mark.parametrize("fmt", CHUNK_FORMATS)
-    def test_zero_row_chunk(self, tmp_path, fmt):
+    def test_zero_row_chunk(self, tmp_path):
         chunk = _rows(0)
-        path = tmp_path / chunk_file_name(3, 5, fmt)
-        path.write_bytes(chunk_to_bytes(chunk, fmt, 3, 5))
-        back = load_chunk(path, fmt)
+        path = tmp_path / chunk_file_name(3, 5)
+        path.write_bytes(chunk_to_bytes(chunk, 3, 5))
+        back = load_chunk(path)
         assert all(len(v) == 0 for v in back.values())
 
-    @pytest.mark.parametrize("fmt", CHUNK_FORMATS)
-    def test_malformed_chunk_loads_as_none(self, tmp_path, fmt):
-        path = tmp_path / chunk_file_name(0, 7, fmt)
+    def test_malformed_chunk_loads_as_none(self, tmp_path):
+        path = tmp_path / chunk_file_name(0, 7)
         path.write_bytes(b'{"not": "a chunk"}\n')
-        assert load_chunk(path, fmt) is None
-
-    def test_jsonl_floats_round_trip_exactly(self, tmp_path):
-        # repr-based JSON floats are the crux of the jsonl format being
-        # replayable: every float64 bit pattern must survive.
-        chunk = _rows(64, seed=7)
-        chunk["spend"] = chunk["spend"] * 1e-17  # denormal-ish values
-        path = tmp_path / "chunk-00000-00007.jsonl"
-        path.write_bytes(chunk_to_bytes(chunk, "jsonl", 0, 7))
-        back = load_chunk(path, "jsonl")
-        assert back["spend"].tobytes() == chunk["spend"].tobytes()
-        assert back["day"].tobytes() == chunk["day"].tobytes()
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(SimulationError):
-            chunk_to_bytes(_rows(1), "parquet", 0, 1)
-        with pytest.raises(SimulationError):
-            chunk_suffix("parquet")
+        assert load_chunk(path) is None
 
 
-class TestRunnerFormats:
-    @pytest.mark.parametrize("fmt", CHUNK_FORMATS)
-    def test_run_is_bit_identical_in_every_format(
-        self, tmp_path, runner_config, baseline, fmt
-    ):
-        run_dir = tmp_path / f"run-{fmt}"
-        result = CheckpointRunner(
-            runner_config, run_dir, chunk_format=fmt
-        ).run()
+class TestRunnerChunks:
+    def test_run_is_bit_identical(self, tmp_path, runner_config, baseline):
+        run_dir = tmp_path / "run"
+        result = CheckpointRunner(runner_config, run_dir).run()
         assert_results_identical(baseline, result)
-        manifest = json.loads((run_dir / "MANIFEST.json").read_text())
-        assert manifest["chunk_format"] == fmt
         chunks = sorted((run_dir / "chunks").iterdir())
         assert chunks
-        assert all(p.suffix == chunk_suffix(fmt) for p in chunks)
+        assert all(p.suffix == ".npc" for p in chunks)
         assert verify_run(run_dir).ok
-        if fmt == "columnar":
-            header = read_header(chunks[0])
-            assert header["meta"] == {"day_start": 0, "day_end": 7}
+        header = read_header(chunks[0])
+        assert header["meta"] == {"day_start": 0, "day_end": 7}
 
-    @pytest.mark.parametrize("fmt", CHUNK_FORMATS)
-    def test_resume_adopts_manifest_format(
-        self, tmp_path, runner_config, baseline, fmt
-    ):
-        run_dir = tmp_path / f"resume-{fmt}"
-        plan = FaultPlan.crash_at("phase3:day", day=20)
-        with pytest.raises(InjectedCrash):
-            CheckpointRunner(
-                runner_config, run_dir, faults=plan, chunk_format=fmt
-            ).run()
-        # Resume with a *different* preferred format: the directory's
-        # recorded format must win, and the result stays bit-identical.
-        other = next(f for f in CHUNK_FORMATS if f != fmt)
-        resumed = CheckpointRunner(run_dir=run_dir, config=runner_config, chunk_format=other)
-        result = resumed.run(resume=True)
-        assert resumed.chunk_format == fmt
-        assert_results_identical(baseline, result)
-        chunks = sorted((run_dir / "chunks").iterdir())
-        assert all(p.suffix == chunk_suffix(fmt) for p in chunks)
-
-    @pytest.mark.parametrize("fmt", CHUNK_FORMATS)
-    def test_doctor_repairs_every_format(
-        self, tmp_path, runner_config, fmt
-    ):
-        run_dir = tmp_path / f"doctor-{fmt}"
-        CheckpointRunner(runner_config, run_dir, chunk_format=fmt).run()
+    def test_doctor_repairs_a_chunk(self, tmp_path, runner_config):
+        run_dir = tmp_path / "doctor"
+        CheckpointRunner(runner_config, run_dir).run()
         pristine = {
             p.relative_to(run_dir): p.read_bytes()
             for p in sorted(run_dir.rglob("*"))
@@ -148,50 +87,6 @@ class TestRunnerFormats:
         assert repair.verify.ok, repair.verify.issues
         for rel, data in pristine.items():
             assert (run_dir / rel).read_bytes() == data, rel
-
-    def test_legacy_manifest_without_chunk_format_reads_as_npz(
-        self, tmp_path, runner_config, baseline
-    ):
-        # Simulate a pre-columnar run directory: an npz-format run whose
-        # manifest never heard of chunk_format.
-        run_dir = tmp_path / "legacy"
-        CheckpointRunner(runner_config, run_dir, chunk_format="npz").run()
-        manifest_path = run_dir / "MANIFEST.json"
-        payload = json.loads(manifest_path.read_text())
-        del payload["chunk_format"]
-        manifest_path.write_text(json.dumps(payload, sort_keys=True, indent=1))
-        manifest = RunManifest.load(manifest_path)
-        assert manifest.chunk_format == "npz"
-        # verify and a rebuild-from-chunks resume both work.
-        assert verify_run(run_dir).ok
-        result = CheckpointRunner(runner_config, run_dir).run(resume=True)
-        assert_results_identical(baseline, result)
-
-    def test_unknown_chunk_format_refused(self, tmp_path, runner_config):
-        with pytest.raises(SimulationError):
-            CheckpointRunner(runner_config, tmp_path / "x", chunk_format="xml")
-
-    def test_format_independence_of_simulation_outputs(
-        self, tmp_path, runner_config
-    ):
-        # Two same-seed runs in different formats agree on every
-        # simulation artifact the manifest pins (the chunk checksums
-        # themselves legitimately differ).
-        a = tmp_path / "native"
-        b = tmp_path / "export"
-        CheckpointRunner(runner_config, a, chunk_format="columnar").run()
-        CheckpointRunner(runner_config, b, chunk_format="jsonl").run()
-        ma = json.loads((a / "MANIFEST.json").read_text())
-        mb = json.loads((b / "MANIFEST.json").read_text())
-        for key in ("seed", "days", "phase", "config", "phase3_start_rng"):
-            assert ma[key] == mb[key], key
-        assert (a / "dayledger.jsonl").read_bytes() == (
-            b / "dayledger.jsonl"
-        ).read_bytes()
-        for ca, cb in zip(ma["chunks"], mb["chunks"]):
-            assert ca["day_start"] == cb["day_start"]
-            assert ca["rows"] == cb["rows"]
-            assert ca["rng_after"] == cb["rng_after"]
 
 
 def test_stray_tmp_detection_still_works(tmp_path, runner_config):

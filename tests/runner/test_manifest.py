@@ -57,7 +57,7 @@ class TestManifestRoundTrip:
         manifest.phase3_start_rng = engine.rng_state()
         manifest.chunks.append(
             ChunkEntry(
-                file="chunks/chunk-00000-00004.npz",
+                file="chunks/chunk-00000-00004.npc",
                 sha256="cd" * 32,
                 day_start=0,
                 day_end=4,
@@ -105,7 +105,7 @@ class TestManifestRoundTrip:
         manifest = self._manifest(tmp_path)
         manifest.chunks.append(
             ChunkEntry(
-                file="chunks/chunk-00005-00008.npz",
+                file="chunks/chunk-00005-00008.npc",
                 sha256="ef" * 32,
                 day_start=5,  # gap: previous chunk ended at day 4
                 day_end=8,
@@ -116,6 +116,33 @@ class TestManifestRoundTrip:
         path = tmp_path / "MANIFEST.json"
         manifest.save(path)
         with pytest.raises(SimulationError, match="contiguous"):
+            RunManifest.load(path)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "../../victim.txt",
+            "/victim.txt",
+            "chunk-00000-00004.npc",
+            "chunks/chunk-00000-00005.npc",
+            "chunks/chunk-00000-00004.npz",
+        ],
+    )
+    def test_load_rejects_non_canonical_chunk_file(self, tmp_path, name):
+        manifest = self._manifest(tmp_path)
+        manifest.chunks[0].file = name
+        path = tmp_path / "MANIFEST.json"
+        manifest.save(path)
+        with pytest.raises(SimulationError, match="is not 'chunks/chunk-00000-00004.npc'"):
+            RunManifest.load(path)
+
+    @pytest.mark.parametrize("name", ["../victim.txt", "sub/phase1.pkl", ".", "..", ""])
+    def test_load_rejects_artifact_outside_run_dir(self, tmp_path, name):
+        manifest = self._manifest(tmp_path)
+        manifest.artifacts[name] = "ef" * 32
+        path = tmp_path / "MANIFEST.json"
+        manifest.save(path)
+        with pytest.raises(SimulationError, match="not a file name"):
             RunManifest.load(path)
 
     def test_load_rejects_missing_keys(self, tmp_path):

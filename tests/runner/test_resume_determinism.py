@@ -8,8 +8,11 @@ detection records, and rendered validation report are byte-identical to
 the uninterrupted same-seed run.
 """
 
+import json
+
 import pytest
 
+from repro import small_config
 from repro.errors import SimulationError
 from repro.runner import CheckpointRunner, Fault, FaultPlan, InjectedCrash
 from repro.validation import render_report, run_validation
@@ -122,3 +125,22 @@ def test_corrupt_non_tail_chunk_is_refused(runner_config, tmp_path):
         CheckpointRunner(
             runner_config, tmp_path, checkpoint_every=CHECKPOINT_EVERY
         ).run(resume=True)
+
+
+def test_chunk_entry_outside_run_dir_is_refused(tmp_path):
+    """Resume never acts on a file the manifest names outside ``chunks/``."""
+    run_dir = tmp_path / "runs" / "x"
+    victim = tmp_path / "victim.txt"
+    victim.write_text("not a chunk")
+    config = small_config(days=20)
+    with pytest.raises(InjectedCrash):
+        CheckpointRunner(
+            config, run_dir, faults=FaultPlan.crash_at("phase3:day", day=15)
+        ).run()
+    manifest_path = run_dir / "MANIFEST.json"
+    payload = json.loads(manifest_path.read_text())
+    payload["chunks"][-1]["file"] = "../../victim.txt"
+    manifest_path.write_text(json.dumps(payload))
+    with pytest.raises(SimulationError, match="victim.txt"):
+        CheckpointRunner(config, run_dir).run(resume=True)
+    assert victim.read_text() == "not a chunk"

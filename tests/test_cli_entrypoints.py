@@ -1,5 +1,7 @@
 """Tests for the validation, dataset-export, and runner CLIs."""
 
+import json
+
 import pytest
 
 from repro.records.__main__ import main as export_main
@@ -172,3 +174,37 @@ class TestVerifyDoctorCli:
 
     def test_validation_run_dir_missing_exits_two(self, tmp_path, capsys):
         assert validate_main(["--run-dir", str(tmp_path / "void")]) == 2
+
+
+class TestOldRunDirectoryRefused:
+    """Every CLI that reads a run directory refuses a ``repro-run/1`` one."""
+
+    ARGS = ["--small", "--seed", "5", "--days", "12", "--checkpoint-every", "5"]
+
+    @pytest.fixture(scope="class")
+    def old_run_dir(self, tmp_path_factory):
+        run_dir = tmp_path_factory.mktemp("old") / "run"
+        assert runner_main(["run", "--checkpoint-dir", str(run_dir), *self.ARGS]) == 0
+        manifest = run_dir / "MANIFEST.json"
+        payload = json.loads(manifest.read_text())
+        payload["format"] = "repro-run/1"
+        manifest.write_text(json.dumps(payload, sort_keys=True, indent=1))
+        return run_dir
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (runner_main, ["run", "--checkpoint-dir", "{run_dir}", "--resume", *ARGS]),
+            (runner_main, ["verify", "{run_dir}"]),
+            (runner_main, ["doctor", "{run_dir}", "--repair"]),
+            (validate_main, ["--run-dir", "{run_dir}"]),
+        ],
+        ids=["run-resume", "verify", "doctor-repair", "validation-run-dir"],
+    )
+    def test_exits_2_with_one_error_line(self, old_run_dir, capsys, main, argv):
+        capsys.readouterr()
+        assert main([arg.format(run_dir=old_run_dir) for arg in argv]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert "'repro-run/1'" in lines[0] and "'repro-run/2'" in lines[0]
+        assert "re-run" in lines[0]
