@@ -24,7 +24,9 @@ on a run with missing telemetry or sidecar print a notice and exit 0
 -- absent telemetry is a normal state (``telemetry=False`` runs,
 pre-sidecar dirs), not an error.  ``export``, ``analyze``, and
 ``dash`` exit 2 on unreadable inputs: they produce artifacts, so a
-silent no-op would masquerade as success.
+silent no-op would masquerade as success.  ``runs index`` and ``runs
+list`` exit 2 on a root that is not a directory (a mistyped root would
+otherwise list nothing and pass); an existing empty one has 0 runs.
 """
 
 from __future__ import annotations
@@ -157,6 +159,9 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             return 2
         _print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
+    if not Path(args.root).is_dir():
+        log.error("%s: not a directory", args.root)
+        return 2
     out = args.out
     if args.action == "index" and out is None:
         out = Path(args.root) / RUNS_INDEX_NAME

@@ -3,7 +3,7 @@
 from .cache import cached_simulation, clear_cache, seed_cache, set_cache_capacity
 from .engine import RNG_STREAMS, SimulationEngine, run_simulation
 from .market import MarketIndex
-from .querygen import CellSampler, MatchTable, Query, QuerySampler, match_table
+from .querygen import CellSampler, MatchTable, QueryBatch, QuerySampler, match_table
 from .registration import FraudShareSchedule, sample_daily_counts
 from .results import AccountSummary, SimulationResult
 
@@ -19,7 +19,7 @@ __all__ = [
     "CellSampler",
     "MatchTable",
     "match_table",
-    "Query",
+    "QueryBatch",
     "QuerySampler",
     "FraudShareSchedule",
     "sample_daily_counts",

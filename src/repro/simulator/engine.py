@@ -20,10 +20,14 @@ Runs in three phases:
 3. **Auctions** -- for each day, compute live offers, sample the query
    stream, run GSP auctions, sample clicks, and append impression rows.
 
-Phase 3 is array-native: each day's queries are gathered into one flat
-candidate batch (market row indices, no per-candidate objects), ranked
-and priced by the batched kernel in :mod:`repro.auction.batch`, clicks
-are drawn with a single vectorized Poisson call, and rows land in the
+Phase 3 is array-native: each day's queries arrive as one columnar
+:class:`~repro.simulator.querygen.QueryBatch`, their eligible
+(keyword, match) pairs come from one gather on the flat
+:class:`~repro.simulator.querygen.EligibilityIndex`, and the resulting
+candidate batch (market row indices, no per-query or per-candidate
+objects) is ranked and priced by the batched kernel in
+:mod:`repro.auction.batch`; clicks are drawn with a single vectorized
+Poisson call, and rows land in the
 :class:`~repro.records.impressions.ImpressionBuilder` as one numpy
 chunk per day.  The pre-vectorization scalar loop is retained as
 :meth:`SimulationEngine.run_auctions_scalar` -- it is the differential
@@ -56,9 +60,8 @@ from ..records.codes import match_code, match_type_from_code
 from ..records.impressions import ImpressionBuilder
 from ..rng import stream
 from ..taxonomy.geography import country as country_info
-from ..taxonomy.verticals import VERTICALS
 from .market import MarketIndex, bucket_keys
-from .querygen import QuerySampler, match_table
+from .querygen import EligibilityIndex, QuerySampler, eligibility_index
 from .registration import FraudShareSchedule, sample_daily_counts
 from .results import AccountSummary, SimulationResult
 
@@ -129,13 +132,6 @@ class SimulationEngine:
         )
         self._ids = IdAllocator()
         self._next_advertiser_id = 0
-        #: Memo for the *scalar oracle* path only.  Keys are
-        #: ``(vertical, seed, decorated, shuffled)``; the reachable key
-        #: space is bounded at ``n_verticals * pool_size * 3`` (the
-        #: three query shapes), a few thousand entries at most.  The
-        #: batched path needs no memo: it reads the arrays precomputed
-        #: by :meth:`repro.simulator.querygen.MatchTable.eligible_arrays`.
-        self._eligible_memo: dict[tuple[int, int, bool, bool], list] = {}
         #: Columnar whole-horizon record of the Phase-1 draws pass;
         #: populated by :meth:`generate_population` (None until then,
         #: and always None on the oracle paths).
@@ -571,17 +567,6 @@ class SimulationEngine:
     # Phase 3: auctions
     # ------------------------------------------------------------------
 
-    def _eligible_pairs(
-        self, vertical_code: int, seed: int, decorated: bool, shuffled: bool
-    ):
-        key = (vertical_code, seed, decorated, shuffled)
-        pairs = self._eligible_memo.get(key)
-        if pairs is None:
-            table = match_table(VERTICALS[vertical_code].name)
-            pairs = table.eligible_pairs(seed, decorated, shuffled)
-            self._eligible_memo[key] = pairs
-        return pairs
-
     def run_auctions(
         self,
         market: MarketIndex,
@@ -624,7 +609,7 @@ class SimulationEngine:
         sampler = QuerySampler(config.query)
         auction_config = config.auction
         exam_table = examination_table(config.click, auction_config.total_slots)
-        tables = [match_table(v.name) for v in VERTICALS]
+        index = eligibility_index()
         heartbeat = obs.heartbeat_every()
         tracer = obs.tracer()
         # The builder may be drained mid-loop (checkpoint chunks), so
@@ -642,7 +627,7 @@ class SimulationEngine:
                     ledger.begin_day(day)
                 with obs.span("phase3.day", day=day):
                     self._run_auction_day(
-                        day, market, builder, sampler, exam_table, tables
+                        day, market, builder, sampler, exam_table, index
                     )
                 if heartbeat and (day + 1) % heartbeat == 0:
                     elapsed = tracer.now() - phase_span.start
@@ -692,11 +677,10 @@ class SimulationEngine:
         builder: ImpressionBuilder,
         sampler: QuerySampler,
         exam_table: np.ndarray,
-        tables: list,
+        index: EligibilityIndex,
     ) -> None:
         """One day of the batched auction loop (body of Phase 3)."""
         config = self.config
-        cells = sampler.cells
         rng_clicks = self._rng_clicks
         auction_config = config.auction
         time = day + 0.5
@@ -718,37 +702,13 @@ class SimulationEngine:
         queries = sampler.sample_day(self._rng_queries)
         n_queries = len(queries)
         _QUERIES_SAMPLED.inc(n_queries)
-        weight = np.empty(n_queries, dtype=np.float64)
-        vertical = np.empty(n_queries, dtype=np.int16)
-        country = np.empty(n_queries, dtype=np.int16)
-        cell_ids = np.empty(n_queries, dtype=np.int64)
-        counts = np.zeros(n_queries, dtype=np.int64)
-        kw_chunks: list[np.ndarray] = []
-        mcode_chunks: list[np.ndarray] = []
-        for seg, query in enumerate(queries):
-            weight[seg] = query.weight
-            vertical[seg] = query.vertical
-            country[seg] = query.country
-            cell_ids[seg] = cells.cell_of(query.vertical, query.country)
-            kws, mcodes = tables[query.vertical].eligible_arrays(
-                query.seed_index, query.decorated, query.shuffled
-            )
-            if len(kws):
-                counts[seg] = len(kws)
-                kw_chunks.append(kws)
-                mcode_chunks.append(mcodes)
+        weight = queries.weight
         # One flat (cell, keyword, match) key array for the whole
         # day's query stream, resolved in a single bucket gather.  An
         # empty key set (no query matched any keyword) flows through
         # the same gather + kernel calls so the spans emit every day.
-        if kw_chunks:
-            kw_all = np.concatenate(kw_chunks)
-            mcode_all = np.concatenate(mcode_chunks)
-        else:
-            kw_all = np.zeros(0, dtype=np.int64)
-            mcode_all = np.zeros(0, dtype=np.int64)
-        query_of_key = np.repeat(np.arange(n_queries), counts)
-        keys = bucket_keys(np.repeat(cell_ids, counts), kw_all, mcode_all)
+        query_of_key, kw_all, mcode_all = index.pairs(queries)
+        keys = bucket_keys(queries.cell[query_of_key], kw_all, mcode_all)
         with obs.span("auction.gather", keys=len(keys)):
             rows, key_index = buckets.gather(keys)
         _CANDIDATES_GATHERED.inc(int(rows.size))
@@ -801,8 +761,8 @@ class SimulationEngine:
             day=np.full(len(lam), time),
             advertiser_id=market.advertiser_id[shown_rows],
             ad_id=market.ad_id[shown_rows],
-            vertical=vertical[shown_seg],
-            country=country[shown_seg],
+            vertical=queries.vertical[shown_seg],
+            country=queries.country[shown_seg],
             match_type=mcode[result.candidate_index],
             position=result.position,
             mainline=result.mainline,
@@ -827,7 +787,9 @@ class SimulationEngine:
         """
         config = self.config
         sampler = QuerySampler(config.query)
-        cells = sampler.cells
+        index = eligibility_index()
+        pair_kw = index.kw.tolist()
+        pair_code = index.code.tolist()
         click_config = config.click
         rng_clicks = self._rng_clicks
         for day in range(config.days):
@@ -835,12 +797,20 @@ class SimulationEngine:
             buckets = market.day_buckets(time, self._rng_market)
             if len(buckets) == 0:
                 continue
-            for query in sampler.sample_day(self._rng_queries):
-                cell = cells.cell_of(query.vertical, query.country)
+            queries = sampler.sample_day(self._rng_queries)
+            slots = index.slots(queries)
+            first = index.start[slots]
+            stop = first + index.count[slots]
+            for cell, vertical, country, weight, lo, hi in zip(
+                queries.cell.tolist(),
+                queries.vertical.tolist(),
+                queries.country.tolist(),
+                queries.weight.tolist(),
+                first.tolist(),
+                stop.tolist(),
+            ):
                 candidates: list[Candidate] = []
-                for kw_index, mcode in self._eligible_pairs(
-                    query.vertical, query.seed_index, query.decorated, query.shuffled
-                ):
+                for kw_index, mcode in zip(pair_kw[lo:hi], pair_code[lo:hi]):
                     rows = buckets.lookup(cell, kw_index, mcode)
                     if rows is None:
                         continue
@@ -868,7 +838,7 @@ class SimulationEngine:
                     examine = examination_probability(shown.placement, click_config)
                     p_click = min(1.0, examine * shown.candidate.quality)
                     clicks = (
-                        float(rng_clicks.poisson(query.weight * p_click))
+                        float(rng_clicks.poisson(weight * p_click))
                         if p_click > 0
                         else 0.0
                     )
@@ -877,12 +847,12 @@ class SimulationEngine:
                         day=time,
                         advertiser_id=shown.candidate.advertiser_id,
                         ad_id=shown.candidate.ad_id,
-                        vertical=query.vertical,
-                        country=query.country,
+                        vertical=vertical,
+                        country=country,
                         match_type=match_code(shown.candidate.match_type),
                         position=shown.position,
                         mainline=shown.mainline,
-                        weight=query.weight,
+                        weight=weight,
                         clicks=clicks,
                         spend=spend,
                         price=shown.price_per_click,

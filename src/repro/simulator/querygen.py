@@ -4,12 +4,15 @@ Queries are sampled per (vertical, country) cell proportionally to the
 joint search volume.  Each query starts from a *seed* keyword phrase in
 the vertical's pool and is optionally decorated with extra tokens
 (exercising phrase/broad matching) or shuffled (only broad survives a
-reorder).
+reorder).  A day's queries come back as one :class:`QueryBatch` of
+parallel columns, never one object per search.
 
 Eligibility of a (keyword, match-type) offer for a query depends only
-on (seed, decorated, shuffled), so per vertical we pre-compute a match
-table over pool x pool pairs using the real matcher, then answer
-eligibility in O(1) at query time.
+on (vertical, seed, decorated, shuffled), so per vertical we pre-compute
+a match table over pool x pool pairs using the real matcher, and
+:class:`EligibilityIndex` flattens every vertical's tables into one CSR
+index of eligible pairs per (vertical, query shape, seed): a whole
+day's candidate pairs are one gather.
 """
 
 from __future__ import annotations
@@ -28,24 +31,42 @@ from ..taxonomy.geography import COUNTRIES
 from ..taxonomy.keywords import keyword_pool, keyword_weights
 from ..taxonomy.verticals import VERTICALS
 
-__all__ = ["Query", "MatchTable", "match_table", "CellSampler", "QuerySampler"]
+__all__ = [
+    "QueryBatch",
+    "MatchTable",
+    "match_table",
+    "EligibilityIndex",
+    "eligibility_index",
+    "CellSampler",
+    "QuerySampler",
+]
 
 # Observability handle (repro.obs): candidate (keyword, match-type)
-# pairs matched per query, bumped at lookup time.  A plain attribute
-# add -- no RNG contact, cheap enough for the per-query hot path.
+# pairs matched, bumped once per gathered day.  A plain attribute add
+# -- no RNG contact.
 _CANDIDATES_MATCHED = obs.counter("matching.candidates_matched")
 
 
-@dataclass(frozen=True)
-class Query:
-    """One sampled query instance (stands in for ``weight`` searches)."""
+@dataclass(frozen=True, eq=False)
+class QueryBatch:
+    """One day's sampled query instances, as parallel columns.
 
-    vertical: int
-    country: int
-    seed_index: int
-    decorated: bool
-    shuffled: bool
-    weight: float
+    Row ``i`` stands in for ``weight[i]`` searches in cell ``cell[i]``
+    (split into ``vertical[i]`` and ``country[i]``), seeded by pool
+    phrase ``seed_index[i]`` of its vertical.  ``shuffled`` implies
+    ``decorated``.
+    """
+
+    cell: np.ndarray
+    vertical: np.ndarray
+    country: np.ndarray
+    seed_index: np.ndarray
+    decorated: np.ndarray
+    shuffled: np.ndarray
+    weight: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cell)
 
 
 class MatchTable:
@@ -75,39 +96,6 @@ class MatchTable:
                 self.exact[kw_index, seed_index] = exact_match(keyword, seed)
                 self.phrase[kw_index, seed_index] = phrase_match(keyword, seed)
                 self.broad[kw_index, seed_index] = broad_match(keyword, seed)
-        # Precomputed (kw_index, match_code) arrays per (seed, query
-        # shape).  Exactly three query shapes exist — plain, decorated,
-        # decorated+shuffled (a shuffle implies decoration) — so the
-        # table holds `3 * pool_size` entries of at most `3 * pool_size`
-        # elements each: bounded and built once per vertical.
-        self._arrays_by_shape: tuple[
-            list[tuple[np.ndarray, np.ndarray]], ...
-        ] = (
-            [self._build_arrays(s, False, False) for s in range(size)],
-            [self._build_arrays(s, True, False) for s in range(size)],
-            [self._build_arrays(s, True, True) for s in range(size)],
-        )
-
-    def _build_arrays(
-        self, seed_index: int, decorated: bool, shuffled: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        kws: list[np.ndarray] = []
-        codes: list[np.ndarray] = []
-        if not decorated and not shuffled:
-            exact = np.flatnonzero(self.exact[:, seed_index])
-            kws.append(exact)
-            codes.append(np.full(len(exact), MATCH_CODES[MatchType.EXACT]))
-        if not shuffled:
-            phrase = np.flatnonzero(self.phrase[:, seed_index])
-            kws.append(phrase)
-            codes.append(np.full(len(phrase), MATCH_CODES[MatchType.PHRASE]))
-        broad = np.flatnonzero(self.broad[:, seed_index])
-        kws.append(broad)
-        codes.append(np.full(len(broad), MATCH_CODES[MatchType.BROAD]))
-        return (
-            np.concatenate(kws).astype(np.int64),
-            np.concatenate(codes).astype(np.int8),
-        )
 
     def eligible(
         self,
@@ -127,32 +115,90 @@ class MatchTable:
             return not shuffled and bool(self.phrase[kw_index, seed_index])
         return bool(self.broad[kw_index, seed_index])
 
-    def eligible_arrays(
-        self, seed_index: int, decorated: bool, shuffled: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Eligible ``(kw_index[], match_code[])`` arrays for a query shape.
-
-        Precomputed; do not mutate the returned arrays.  Ordered exactly
-        like :meth:`eligible_pairs`: exact matches first (ascending
-        keyword index), then phrase, then broad.
-        """
-        shape = 2 if shuffled else (1 if decorated else 0)
-        arrays = self._arrays_by_shape[shape][seed_index]
-        _CANDIDATES_MATCHED.inc(len(arrays[0]))
-        return arrays
-
-    def eligible_pairs(
-        self, seed_index: int, decorated: bool, shuffled: bool
-    ) -> list[tuple[int, int]]:
-        """All eligible (kw_index, match_code) pairs for a query shape."""
-        kws, codes = self.eligible_arrays(seed_index, decorated, shuffled)
-        return [(int(kw), int(code)) for kw, code in zip(kws, codes)]
-
 
 @lru_cache(maxsize=None)
 def match_table(vertical_name: str) -> MatchTable:
     """Cached match table for a vertical."""
     return MatchTable(vertical_name)
+
+
+class EligibilityIndex:
+    """Every vertical's eligible (keyword, match code) pairs, as one CSR index.
+
+    A query's *shape* is 0 (plain), 1 (decorated) or 2 (decorated and
+    shuffled).  Slot ``slot_base[v] + shape * pool_size[v] + seed``
+    holds the pairs eligible for a query of vertical ``v`` seeded by
+    pool phrase ``seed``: ``kw[start[slot]:start[slot] + count[slot]]``
+    (int64 keyword indices) and the same slice of ``code`` (int8 match
+    codes), exact matches first (ascending keyword index), then phrase,
+    then broad.  Read-only once built.
+    """
+
+    def __init__(self) -> None:
+        exact = MATCH_CODES[MatchType.EXACT]
+        phrase = MATCH_CODES[MatchType.PHRASE]
+        broad = MATCH_CODES[MatchType.BROAD]
+        sizes: list[int] = []
+        counts: list[np.ndarray] = []
+        kws: list[np.ndarray] = []
+        codes: list[np.ndarray] = []
+        for vertical in VERTICALS:
+            table = match_table(vertical.name)
+            size = len(table.exact)
+            # eligible[shape, seed, code, kw]; np.nonzero walks it in C
+            # order, which is slot order, then match code (exact <
+            # phrase < broad), then keyword index.
+            eligible = np.zeros((3, size, 3, size), dtype=bool)
+            eligible[0, :, exact] = table.exact.T
+            eligible[:2, :, phrase] = table.phrase.T
+            eligible[:, :, broad] = table.broad.T
+            _, _, code, kw = np.nonzero(eligible)
+            sizes.append(size)
+            counts.append(eligible.reshape(3 * size, -1).sum(axis=1))
+            kws.append(kw)
+            codes.append(code)
+        self.pool_size = np.array(sizes, dtype=np.int64)
+        self.slot_base = np.cumsum(3 * self.pool_size) - 3 * self.pool_size
+        self.count = np.concatenate(counts).astype(np.int64)
+        self.start = np.cumsum(self.count) - self.count
+        self.kw = np.concatenate(kws).astype(np.int64)
+        self.code = np.concatenate(codes).astype(np.int8)
+        for column in (
+            self.pool_size, self.slot_base, self.count, self.start, self.kw, self.code
+        ):
+            column.setflags(write=False)
+
+    def slots(self, batch: QueryBatch) -> np.ndarray:
+        """The index slot of every query in ``batch``."""
+        vertical = batch.vertical
+        shape = batch.decorated.astype(np.int64) + batch.shuffled
+        return (
+            self.slot_base[vertical]
+            + shape * self.pool_size[vertical]
+            + batch.seed_index
+        )
+
+    def pairs(self, batch: QueryBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(query, kw, code)`` of every eligible pair of every query.
+
+        Query-major, each query's pairs in slot order; one gather for
+        the whole batch.
+        """
+        slots = self.slots(batch)
+        counts = self.count[slots]
+        query = np.repeat(np.arange(len(slots)), counts)
+        # Position of each pair in kw/code: its slot's start plus its
+        # offset within the query's run of pairs.
+        shift = self.start[slots] - (np.cumsum(counts) - counts)
+        position = np.repeat(shift, counts) + np.arange(len(query))
+        _CANDIDATES_MATCHED.inc(len(query))
+        return query, self.kw[position], self.code[position]
+
+
+@lru_cache(maxsize=None)
+def eligibility_index() -> EligibilityIndex:
+    """The cached eligibility index, built on first use."""
+    return EligibilityIndex()
 
 
 class CellSampler:
@@ -178,8 +224,8 @@ class CellSampler:
         """Cell ids (vertical_code * n_countries + country_code)."""
         return rng.choice(self.n_cells, size=size, p=self._probs)
 
-    def split(self, cell_id: int) -> tuple[int, int]:
-        """(vertical code, country code) of a cell id."""
+    def split(self, cell_id: int | np.ndarray) -> tuple:
+        """(vertical code, country code) of a cell id, or of an array of them."""
         return divmod(cell_id, self._n_countries)
 
     @staticmethod
@@ -204,34 +250,36 @@ class QuerySampler:
         """The underlying cell sampler."""
         return self._cells
 
-    def sample_day(self, rng: np.random.Generator) -> list[Query]:
-        """All query instances for one day."""
+    def sample_day(self, rng: np.random.Generator) -> QueryBatch:
+        """All query instances for one day.
+
+        Two draws on ``rng``: the cells, then one ``(count, 3)`` block
+        of uniforms (seed pick, decoration, shuffle) per query.
+        """
         config = self._config
         count = config.auctions_per_day
-        cell_ids = self._cells.sample(rng, count)
+        cell = self._cells.sample(rng, count)
         uniform = rng.random((count, 3))
-        queries: list[Query] = []
-        for index in range(count):
-            vertical_code, country_code = self._cells.split(int(cell_ids[index]))
-            seed_index = int(
-                np.searchsorted(self._seed_cdf[vertical_code], uniform[index, 0])
+        vertical, country = self._cells.split(cell)
+        seed_index = np.empty(count, dtype=np.int64)
+        for code, cdf in enumerate(self._seed_cdf):
+            mask = vertical == code
+            seed_index[mask] = np.minimum(
+                np.searchsorted(cdf, uniform[mask, 0]), len(cdf) - 1
             )
-            seed_index = min(seed_index, len(self._seed_cdf[vertical_code]) - 1)
-            decorated = uniform[index, 1] < config.decorate_prob
-            shuffled = decorated and uniform[index, 2] < config.shuffle_prob
-            factor = (
-                config.tail_weight_factor
-                if decorated
-                else config.head_weight_factor
-            )
-            queries.append(
-                Query(
-                    vertical=vertical_code,
-                    country=country_code,
-                    seed_index=seed_index,
-                    decorated=decorated,
-                    shuffled=shuffled,
-                    weight=config.volume_weight * factor,
-                )
-            )
-        return queries
+        decorated = uniform[:, 1] < config.decorate_prob
+        shuffled = decorated & (uniform[:, 2] < config.shuffle_prob)
+        weight = np.where(
+            decorated,
+            config.volume_weight * config.tail_weight_factor,
+            config.volume_weight * config.head_weight_factor,
+        )
+        return QueryBatch(
+            cell=cell,
+            vertical=vertical,
+            country=country,
+            seed_index=seed_index,
+            decorated=decorated,
+            shuffled=shuffled,
+            weight=weight,
+        )

@@ -215,6 +215,28 @@ class TestRunsCli:
     def test_show_non_run_dir_exits_2(self, tmp_path):
         assert obs_main(["runs", "show", str(tmp_path)]) == 2
 
+    def test_index_and_list_refuse_a_root_that_is_not_a_directory(
+        self, tmp_path, capsys
+    ):
+        missing = tmp_path / "missing"
+        a_file = tmp_path / "file.txt"
+        a_file.write_text("not a run root\n")
+        for root in (missing, a_file):
+            for action in ("index", "list"):
+                assert obs_main(["runs", action, str(root)]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (
+                    f"ERROR repro.obs.cli: {root}: not a directory\n"
+                )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+
+    def test_index_and_list_accept_an_empty_directory(self, tmp_path, capsys):
+        assert obs_main(["runs", "index", str(tmp_path)]) == 0
+        assert "indexed 0 run(s)" in capsys.readouterr().out
+        assert obs_main(["runs", "list", str(tmp_path)]) == 0
+        assert "no run directories" in capsys.readouterr().out
+
 
 class TestAnalysisSummary:
     def _analyzed_run(self, tmp_path, name="a", unexplained=1):
