@@ -8,19 +8,21 @@ simulation stack:
 * **metrics** (:mod:`~repro.obs.metrics`) -- counters, gauges, and
   fixed-bucket histograms with module-level handles cheap enough for
   hot loops;
-* **sinks** (:mod:`~repro.obs.sink`) -- no-op default, stderr logging
-  (:mod:`~repro.obs.logsetup`), and a crash-safe JSONL file sink the
-  checkpoint runner writes into its run directory;
+* **sinks** (:mod:`~repro.obs.sink`) -- none attached by default; an
+  in-memory sink for tests and benches, and a crash-safe JSONL file
+  sink the checkpoint runner writes into its run directory (CLI
+  diagnostics go to stderr through :mod:`~repro.obs.logsetup`);
 * **profiling** (:mod:`~repro.obs.profile`) -- opt-in per-phase
   cProfile dumps via ``REPRO_PROFILE=1``;
 * **reporting** -- ``python -m repro.obs report <run-dir>`` renders
   ``telemetry.jsonl`` into a phase-tree timing table and metric
   summary (:mod:`~repro.obs.report`);
-* **analysis** -- the read side: deterministic anomaly/change-point
-  detection over the day ledger (:mod:`~repro.obs.analyze`) and
-  self-contained HTML dashboards (:mod:`~repro.obs.dash`), via
-  ``python -m repro.obs analyze|dash``.  Neither is imported here: the
-  write side stays import-light for the engine's hot path.
+* **comparison and analysis** -- the read side: cross-run diffs of the
+  day ledger, validation and counters (:mod:`~repro.obs.diff`) and
+  deterministic anomaly/change-point detection over the day ledger
+  (:mod:`~repro.obs.analyze`), via ``python -m repro.obs
+  diff|analyze``.  Neither is imported here: the write side stays
+  import-light for the engine's hot path.
 
 The package-level functions (:func:`span`, :func:`event`,
 :func:`counter`, ...) operate on one process-global tracer and metrics
@@ -47,14 +49,7 @@ from .metrics import (
 from .profile import PROFILE_ENV, maybe_profile, profiling_enabled
 from .progress import PROGRESS_NAME, ProgressSink, load_progress
 from .resources import ResourceSampler
-from .sink import (
-    TELEMETRY_NAME,
-    JsonlSink,
-    LogSink,
-    MemorySink,
-    NullSink,
-    Sink,
-)
+from .sink import TELEMETRY_NAME, JsonlSink, MemorySink, Sink
 from .timeseries import DAYLEDGER_NAME, DayLedger
 from .trace import Span, Tracer
 
@@ -64,10 +59,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonlSink",
-    "LogSink",
     "MemorySink",
     "MetricsRegistry",
-    "NullSink",
     "ProgressSink",
     "ResourceSampler",
     "Sink",

@@ -1,4 +1,5 @@
-"""Observability CLI: reports, the run registry, and cross-run diffs.
+"""Observability CLI: run reports, live progress, cross-run diffs, and
+ledger analysis.
 
 ::
 
@@ -6,27 +7,20 @@
     python -m repro.obs report RUNS/x --json      # machine-readable
     python -m repro.obs watch RUNS/x              # live progress tail
     python -m repro.obs watch RUNS/x --once       # one status line
-    python -m repro.obs export RUNS/x --format chrome-trace
-    python -m repro.obs runs index RUNS/          # build RUNS/runs.json
-    python -m repro.obs runs list RUNS/           # registry table
-    python -m repro.obs runs show RUNS/x          # one run's summary
     python -m repro.obs diff RUNS/a RUNS/b        # compare two runs
-    python -m repro.obs diff RUNS/a RUNS/b --fail-on drift=0,phase_time=0.25
+    python -m repro.obs diff RUNS/a RUNS/b --fail-on drift=0,validation=0
     python -m repro.obs analyze RUNS/x            # anomalies -> analyze.json
     python -m repro.obs analyze RUNS/x --fail-on anomalies=0
-    python -m repro.obs dash RUNS/x               # -> RUNS/x/dashboard.html
-    python -m repro.obs dash RUNS/x --compare RUNS/y --out matrix.html
 
 Reports go to stdout; diagnostics go to stderr via logging.  ``diff``
 and ``analyze`` exit 0 when every ``--fail-on`` rule holds, 1 on a
-violation, and 2 when inputs are unreadable.  ``report`` and ``watch``
-on a run with missing telemetry or sidecar print a notice and exit 0
--- absent telemetry is a normal state (``telemetry=False`` runs,
-pre-sidecar dirs), not an error.  ``export``, ``analyze``, and
-``dash`` exit 2 on unreadable inputs: they produce artifacts, so a
-silent no-op would masquerade as success.  ``runs index`` and ``runs
-list`` exit 2 on a root that is not a directory (a mistyped root would
-otherwise list nothing and pass); an existing empty one has 0 runs.
+violation, and 2 when inputs are unreadable or a rule is malformed
+(an unknown name, or a threshold that is not a finite number >= 0).
+``report`` and ``watch`` on a run with missing telemetry or sidecar
+print a notice and exit 0 -- absent telemetry is a normal state
+(``telemetry=False`` runs, pre-sidecar dirs), not an error.
+``analyze`` exits 2 on an unreadable ledger: it produces an artifact,
+so a silent no-op would masquerade as success.
 """
 
 from __future__ import annotations
@@ -126,51 +120,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             time.sleep(max(0.1, args.interval))
     except KeyboardInterrupt:
         return 0
-
-
-def _cmd_export(args: argparse.Namespace) -> int:
-    from .export import TRACE_NAME, export_chrome_trace
-
-    path = report_path(args.target)
-    if not path.exists():
-        log.error("%s: no telemetry to export", path)
-        return 2
-    try:
-        events = load_events(path)
-    except ValueError as exc:
-        log.error("%s", exc)
-        return 2
-    out = args.out
-    if out is None:
-        target = Path(args.target)
-        out = (target if target.is_dir() else target.parent) / TRACE_NAME
-    export_chrome_trace(events, out)
-    _print(f"wrote {args.format} ({len(events)} events) -> {out}")
-    return 0
-
-
-def _cmd_runs(args: argparse.Namespace) -> int:
-    from .registry import RUNS_INDEX_NAME, index_runs, render_runs_table, summarize_run
-
-    if args.action == "show":
-        summary = summarize_run(args.root)
-        if summary is None:
-            log.error("%s: no readable run manifest", args.root)
-            return 2
-        _print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    if not Path(args.root).is_dir():
-        log.error("%s: not a directory", args.root)
-        return 2
-    out = args.out
-    if args.action == "index" and out is None:
-        out = Path(args.root) / RUNS_INDEX_NAME
-    index = index_runs(args.root, out=out)
-    if args.action == "index":
-        _print(f"indexed {len(index['runs'])} run(s) -> {out}")
-    else:
-        _print(render_runs_table(index))
-    return 0
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -273,32 +222,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dash(args: argparse.Namespace) -> int:
-    from ..records.atomic import atomic_write_text
-    from .dash import DASHBOARD_NAME, render_compare, render_dashboard
-
-    try:
-        if args.compare:
-            html = render_compare([args.run_dir, *args.compare])
-        else:
-            html = render_dashboard(args.run_dir)
-    except (FileNotFoundError, ValueError) as exc:
-        log.error("%s", exc)
-        return 2
-    out = args.out
-    if out is None:
-        out = Path(args.run_dir) / DASHBOARD_NAME
-    atomic_write_text(out, html)
-    kind = f"comparison ({1 + len(args.compare)} runs)" if args.compare else "dashboard"
-    _print(f"wrote {kind} -> {out}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Inspect and compare run telemetry.",
+        description="Inspect, compare and analyze run directories.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -342,51 +270,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     watch.set_defaults(func=_cmd_watch)
 
-    export = sub.add_parser(
-        "export", help="export telemetry (Chrome trace_event JSON)"
-    )
-    export.add_argument(
-        "target",
-        type=Path,
-        help="run directory (containing telemetry.jsonl) or a JSONL file",
-    )
-    export.add_argument(
-        "--format",
-        choices=("chrome-trace",),
-        default="chrome-trace",
-        help="output format (default: chrome-trace)",
-    )
-    export.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="output path (default: <run-dir>/trace.json)",
-    )
-    export.set_defaults(func=_cmd_export)
-
-    runs = sub.add_parser(
-        "runs", help="index / list / show run directories (runs.json)"
-    )
-    runs.add_argument(
-        "action",
-        choices=("index", "list", "show"),
-        help="index: write runs.json; list: table; show: one run's JSON",
-    )
-    runs.add_argument(
-        "root",
-        type=Path,
-        help="directory of run dirs (or, for show, one run dir)",
-    )
-    runs.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="where to write the index (default: <root>/runs.json)",
-    )
-    runs.set_defaults(func=_cmd_runs)
-
     diff = sub.add_parser(
-        "diff", help="compare two run directories (timings, metrics, ledger)"
+        "diff", help="compare two run directories (ledger, validation, counters)"
     )
     diff.add_argument("run_a", type=Path, help="baseline run directory")
     diff.add_argument("run_b", type=Path, help="candidate run directory")
@@ -397,15 +282,14 @@ def main(argv: list[str] | None = None) -> int:
         metavar="RULE=THRESHOLD",
         help=(
             "gate rule(s): drift=FRAC (ledger series divergence), "
-            "phase_time=FRAC (phase regression), validation=N (new "
-            "misses), degraded=N (lost auxiliary writes), rss=FRAC "
-            "(peak-RSS growth); repeatable or comma-separated"
+            "validation=N (new misses), degraded=N (lost auxiliary "
+            "writes); repeatable or comma-separated"
         ),
     )
     diff.add_argument(
         "--json",
         action="store_true",
-        help="emit the diff as a JSON document (repro.diff/v2)",
+        help="emit the diff as a JSON document (repro.diff/v3)",
     )
     diff.add_argument(
         "--out",
@@ -445,28 +329,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     analyze.set_defaults(func=_cmd_analyze)
-
-    dash = sub.add_parser(
-        "dash", help="render a self-contained HTML dashboard for a run"
-    )
-    dash.add_argument(
-        "run_dir", type=Path, help="checkpoint-runner run directory"
-    )
-    dash.add_argument(
-        "--compare",
-        type=Path,
-        nargs="+",
-        default=[],
-        metavar="RUN",
-        help="render a comparison matrix of this run vs. the given runs",
-    )
-    dash.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="output path (default: <run-dir>/dashboard.html)",
-    )
-    dash.set_defaults(func=_cmd_dash)
 
     args = parser.parse_args(argv)
     setup_logging()

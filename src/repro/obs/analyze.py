@@ -21,10 +21,14 @@ document out, byte for byte):
   shift) surfaces here as a level shift in the shutdown and fraud-share
   series.
 * **policy effects** -- for every ``policy_change`` day in the ledger,
-  pre/post window means per series over the same ±28-day window
-  :mod:`repro.obs.diff` uses (:data:`~repro.obs.diff.POLICY_WINDOW_DAYS`,
-  computed by the very same helper), so ``analyze``'s effect sizes are
+  pre/post window means per series over the ±28-day window
+  (:data:`~repro.obs.timeseries.POLICY_WINDOW_DAYS`), computed by
+  :func:`~repro.obs.timeseries.window_means`, the helper
+  :mod:`repro.obs.diff` also uses -- so ``analyze``'s effect sizes are
   numerically identical to ``repro.obs diff``'s policy-window means.
+
+The detectors' ``window`` also defaults to ``POLICY_WINDOW_DAYS``, so
+every windowed statistic here talks about the same four weeks.
 
 Anomalies that land inside the post-policy settling window of a
 recorded policy change are marked ``near_policy`` and *excluded* from
@@ -47,12 +51,19 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .timeseries import DAYLEDGER_NAME, load_rows, policy_days, rows_to_series
+from .diff import parse_fail_on
+from .timeseries import (
+    DAYLEDGER_NAME,
+    POLICY_WINDOW_DAYS,
+    load_rows,
+    policy_days,
+    rows_to_series,
+    window_means,
+)
 
 __all__ = [
     "ANALYZE_NAME",
     "ANALYZE_SCHEMA",
-    "DEFAULT_WINDOW",
     "DEFAULT_Z_THRESHOLD",
     "DEFAULT_SHIFT_THRESHOLD",
     "rolling_mad_scores",
@@ -67,11 +78,6 @@ __all__ = [
 #: Analysis artifact name inside a run directory.
 ANALYZE_NAME = "analyze.json"
 ANALYZE_SCHEMA = "repro.analyze/v1"
-
-#: Trailing/flanking window length, in days.  Matches the diff's
-#: ±28-day policy-window convention so every windowed statistic in the
-#: package talks about the same four weeks.
-DEFAULT_WINDOW = 28
 
 #: Robust z-score above which a day is a point anomaly.  3.5 is the
 #: classic Iglewicz-Hoaglin cutoff for modified z-scores.
@@ -94,10 +100,6 @@ _MAD_SCALE = 0.6745
 #: ledger are 0 on more than half the days, so their MAD vanishes and
 #: every nonzero day would otherwise score infinite).
 _MEANAD_SCALE = 0.7979
-
-#: Days after a policy change during which anomalies are "explained by
-#: policy" (the post-window the effect sizes are computed over).
-_POLICY_SETTLE_DAYS = DEFAULT_WINDOW
 
 
 def _median(values: list[float]) -> float:
@@ -131,7 +133,7 @@ def _robust_scale(values: list[float], center: float) -> float:
 
 
 def rolling_mad_scores(
-    values: list[float], window: int = DEFAULT_WINDOW
+    values: list[float], window: int = POLICY_WINDOW_DAYS
 ) -> list[tuple[float, float, float] | None]:
     """Per-day ``(z, median, mad)`` over a trailing window.
 
@@ -161,7 +163,7 @@ def rolling_mad_scores(
 
 def detect_anomalies(
     values: list[float],
-    window: int = DEFAULT_WINDOW,
+    window: int = POLICY_WINDOW_DAYS,
     z_threshold: float = DEFAULT_Z_THRESHOLD,
 ) -> list[dict]:
     """Days whose robust z-score exceeds ``z_threshold`` in magnitude."""
@@ -185,7 +187,7 @@ def detect_anomalies(
 
 def detect_level_shifts(
     values: list[float],
-    window: int = DEFAULT_WINDOW,
+    window: int = POLICY_WINDOW_DAYS,
     shift_threshold: float = DEFAULT_SHIFT_THRESHOLD,
 ) -> list[dict]:
     """Change points where the windowed mean jumps between regimes.
@@ -246,20 +248,16 @@ def detect_level_shifts(
 def policy_effects(rows: list[dict]) -> dict[str, dict[str, dict]]:
     """Per-policy-day pre/post window means and effect sizes.
 
-    Reuses :func:`repro.obs.diff._window_means` (and its
-    ``POLICY_WINDOW_DAYS`` constant), so the means here are numerically
-    identical to the ``a:``/``b:`` policy-window means ``repro.obs
-    diff`` prints for the same ledger.
+    Uses :func:`repro.obs.timeseries.window_means`, as ``repro.obs
+    diff`` does, so the means here are numerically identical to the
+    ``a:``/``b:`` policy-window means the diff prints for the same
+    ledger.
     """
-    # Imported lazily: diff imports registry, and registry imports this
-    # module's ANALYZE_NAME -- a module-level import would be a cycle.
-    from .diff import _window_means
-
     effects: dict[str, dict[str, dict]] = {}
     series = rows_to_series(rows)
     for day in policy_days(rows):
         per_series: dict[str, dict] = {}
-        for name, (pre, post) in sorted(_window_means(series, day).items()):
+        for name, (pre, post) in sorted(window_means(series, day).items()):
             delta = post - pre
             per_series[name] = {
                 "pre_mean": pre,
@@ -276,20 +274,22 @@ def policy_effects(rows: list[dict]) -> dict[str, dict[str, dict]]:
 def _near_policy(day: int, policy: list[int], symmetric: bool = False) -> bool:
     """True when ``day`` falls in a policy day's settling window.
 
-    Point anomalies settle *after* the policy day (``[p, p + settle]``);
+    The settling window is the post-window the effect sizes are
+    computed over, ``POLICY_WINDOW_DAYS`` long.  Point anomalies settle
+    *after* the policy day (``[p, p + settle]``);
     level shifts check symmetrically (``symmetric=True``): the
     two-window detector's score peaks anywhere its post window overlaps
     the regime change, up to ``window`` days before the policy day
     itself.
     """
     if symmetric:
-        return any(abs(day - p) <= _POLICY_SETTLE_DAYS for p in policy)
-    return any(0 <= day - p <= _POLICY_SETTLE_DAYS for p in policy)
+        return any(abs(day - p) <= POLICY_WINDOW_DAYS for p in policy)
+    return any(0 <= day - p <= POLICY_WINDOW_DAYS for p in policy)
 
 
 def analyze_rows(
     rows: list[dict],
-    window: int = DEFAULT_WINDOW,
+    window: int = POLICY_WINDOW_DAYS,
     z_threshold: float = DEFAULT_Z_THRESHOLD,
     shift_threshold: float = DEFAULT_SHIFT_THRESHOLD,
 ) -> dict:
@@ -342,9 +342,8 @@ def analyze_run(run_dir: str | Path, **params) -> dict:
     """Analyze one run directory's ledger.
 
     Raises ``FileNotFoundError`` when the directory or its
-    ``dayledger.jsonl`` is missing -- unlike the registry this command
-    produces an artifact, so a silent no-op would masquerade as a
-    healthy analysis.
+    ``dayledger.jsonl`` is missing -- this command produces an
+    artifact, so a silent no-op would masquerade as a healthy analysis.
     """
     run_dir = Path(run_dir)
     ledger = run_dir / DAYLEDGER_NAME
@@ -400,7 +399,8 @@ def analysis_to_text(document: dict, source: str | Path | None = None) -> str:
     if effects:
         lines.append("")
         lines.append(
-            "policy effects (±28d window means, matching repro.obs diff):"
+            f"policy effects (±{POLICY_WINDOW_DAYS}d window means, "
+            f"matching repro.obs diff):"
         )
         key_series = (
             "shutdowns.policy_change",
@@ -433,30 +433,9 @@ def analysis_json(document: dict) -> str:
 
 def parse_analyze_fail_on(specs: list[str]) -> dict[str, float]:
     """Parse ``--fail-on`` rules for ``analyze`` (``anomalies=N``,
-    ``level_shifts=N``); raises ``ValueError`` on malformed input."""
-    known = ("anomalies", "level_shifts")
-    rules: dict[str, float] = {}
-    for spec in specs:
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            name, sep, raw = part.partition("=")
-            if not sep:
-                raise ValueError(f"--fail-on rule {part!r} must be name=N")
-            name = name.strip()
-            if name not in known:
-                raise ValueError(
-                    f"unknown --fail-on rule {name!r} (known: "
-                    f"{', '.join(known)})"
-                )
-            try:
-                rules[name] = float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"--fail-on {name}: threshold {raw!r} is not a number"
-                ) from None
-    return rules
+    ``level_shifts=N``) with the diff's parser; raises ``ValueError``
+    on malformed input."""
+    return parse_fail_on(specs, ("anomalies", "level_shifts"))
 
 
 def evaluate_analyze_fail_on(document: dict, rules: dict[str, float]) -> list[str]:

@@ -1,18 +1,20 @@
 """Cross-run comparison: ``python -m repro.obs diff <run-a> <run-b>``.
 
-Compares two checkpoint-runner run directories along every axis the
-run artifacts record:
+Compares what two checkpoint-runner run directories simulated:
 
-* **phase timings** -- total seconds per phase span (from each run's
-  ``telemetry.jsonl``), with the relative regression of B against A;
 * **final metrics** -- the last cumulative counter snapshot of each
-  run, flagging counters whose values differ;
+  run (from its ``telemetry.jsonl``), flagging counters whose values
+  differ;
 * **validation** -- the pass/miss sets (``validation.json`` or the
   report text), flagging targets that passed in A but miss in B;
 * **day-ledger series** -- the per-day marketplace-health timeseries
   (``dayledger.jsonl``), reporting the maximum relative divergence per
   series and, when either run records a policy change, the pre/post
   policy-window means so regime shifts can be compared across runs.
+
+Timing and memory are not compared here: perf numbers come from the
+repository benchmark (``bench/run.py``), and one run's own phase times
+and resource envelope from ``python -m repro.obs report``.
 
 ``--fail-on`` turns the comparison into a CI gate.  Rules (repeatable,
 comma-separable):
@@ -21,19 +23,15 @@ comma-separable):
     Fail if any ledger series diverges relatively by more than
     ``FRAC`` on any day (``drift=0`` demands byte-level agreement --
     what a fresh vs. resumed same-seed pair must satisfy).
-``phase_time=FRAC``
-    Fail if any phase of B took more than ``(1 + FRAC)`` times its A
-    duration (``phase_time=0.25`` = "no phase regressed by >25%").
 ``validation=N``
     Fail if more than ``N`` targets that passed in A miss in B.
 ``degraded=N``
     Fail if run B degraded more than ``N`` auxiliary writes: its final
     ``io.degraded`` + ``io.giveups`` counters (``degraded=0`` demands
     a run that never lost a telemetry or ledger flush).
-``rss=FRAC``
-    Fail if run B's overall peak RSS grew by more than ``FRAC``
-    relative to A's, from the resource envelope each run's telemetry
-    records (``rss=0.2`` = "no more than 20% extra resident memory").
+
+Every threshold must be a finite number >= 0: ``x > nan`` is always
+false, so a ``nan`` threshold would silently turn its gate off.
 
 Exit codes: 0 -- compared (and every rule held); 1 -- at least one
 rule violated; 2 -- a run directory was unreadable or a rule
@@ -44,24 +42,28 @@ rule, because "the artifact disappeared" is itself a regression.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .registry import (
-    PHASE_NAMES,
-    last_metrics,
-    load_validation,
-    phase_totals,
+from .report import last_metrics, load_events, report_path
+from .timeseries import (
+    DAYLEDGER_NAME,
+    POLICY_WINDOW_DAYS,
+    load_rows,
+    policy_days,
+    rows_to_series,
+    window_means,
 )
-from .report import last_resources, load_events, report_path
-from .timeseries import DAYLEDGER_NAME, load_rows, policy_days, rows_to_series
 
 __all__ = [
     "DIFF_SCHEMA",
     "RunData",
     "RunDiff",
     "load_run",
+    "load_validation",
     "diff_runs",
     "diff_json",
     "parse_fail_on",
@@ -69,16 +71,18 @@ __all__ = [
     "render_diff",
 ]
 
-DIFF_SCHEMA = "repro.diff/v2"
+DIFF_SCHEMA = "repro.diff/v3"
 
-#: Days on each side of a policy change over which window means are
-#: computed (four weeks -- matches the paper's quarter-scale framing of
-#: the Year-2 regime shift without washing it out).
-POLICY_WINDOW_DAYS = 28
+VALIDATION_JSON_NAME = "validation.json"
+VALIDATION_REPORT_NAME = "validation_report.txt"
 
-#: Ledger series whose day totals are compared under ``drift=``.
-#: Derived ratios are recomputed from these, so comparing the raw sums
-#: plus the derived values adds no information but costs nothing.
+#: ``[ok  ] name ... measured: 1.234 (...)`` -- the stable line format
+#: of ``validation_report.txt``, the fallback when no JSON payload was
+#: written.
+_REPORT_LINE = re.compile(
+    r"^\[(?P<status>ok\s*|MISS)\]\s+(?P<name>\S+)\s+.*"
+    r"measured:\s+(?P<measured>\S+)"
+)
 
 
 @dataclass
@@ -86,13 +90,9 @@ class RunData:
     """Everything the diff reads from one run directory."""
 
     path: Path
-    phases: dict[str, float] | None
     metrics: dict | None
     validation: dict | None
     ledger_rows: list[dict] | None
-    #: Resource envelope (:mod:`repro.obs.resources` summary) from the
-    #: run's telemetry, ``None`` when the run recorded none.
-    resources: dict | None = None
     notes: list[str] = field(default_factory=list)
 
 
@@ -102,8 +102,6 @@ class RunDiff:
 
     a: RunData
     b: RunData
-    #: phase -> (seconds_a, seconds_b), phases present in either run.
-    phases: dict[str, tuple[float | None, float | None]]
     #: counter -> (value_a, value_b), only where the values differ.
     counter_deltas: dict[str, tuple[float, float]]
     #: targets that passed in A but miss (or vanished) in B.
@@ -114,22 +112,54 @@ class RunDiff:
     policy_windows: dict[int, dict[str, dict[str, tuple[float, float]]]]
 
 
+def load_validation(run_dir: str | Path) -> dict | None:
+    """Validation pass/miss info for a run directory, if any.
+
+    Prefers the machine-readable ``validation.json``; falls back to
+    parsing the stable line format of ``validation_report.txt``.
+    Returns ``{"passed", "total", "ok": [names], "miss": [names]}`` or
+    ``None`` when the run has no validation artifact.
+    """
+    run_dir = Path(run_dir)
+    json_path = run_dir / VALIDATION_JSON_NAME
+    if json_path.exists():
+        try:
+            payload = json.loads(json_path.read_text())
+            checks = payload["checks"]
+            ok = [c["name"] for c in checks if c["ok"]]
+            miss = [c["name"] for c in checks if not c["ok"]]
+        except (json.JSONDecodeError, KeyError, TypeError):
+            return None
+        return {"passed": len(ok), "total": len(checks), "ok": ok, "miss": miss}
+    report = run_dir / VALIDATION_REPORT_NAME
+    if report.exists():
+        ok, miss = [], []
+        for line in report.read_text().splitlines():
+            match = _REPORT_LINE.match(line)
+            if match is None:
+                continue
+            bucket = ok if match.group("status").startswith("ok") else miss
+            bucket.append(match.group("name"))
+        if ok or miss:
+            return {
+                "passed": len(ok),
+                "total": len(ok) + len(miss),
+                "ok": ok,
+                "miss": miss,
+            }
+    return None
+
+
 def load_run(run_dir: str | Path) -> RunData:
     """Read one run directory's comparable artifacts (best-effort)."""
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise FileNotFoundError(f"{run_dir}: not a run directory")
-    data = RunData(
-        path=run_dir, phases=None, metrics=None, validation=None,
-        ledger_rows=None,
-    )
+    data = RunData(path=run_dir, metrics=None, validation=None, ledger_rows=None)
     telemetry = report_path(run_dir)
     if telemetry.exists():
         try:
-            events = load_events(telemetry)
-            data.phases = phase_totals(events)
-            data.metrics = last_metrics(events)
-            data.resources = last_resources(events)
+            data.metrics = last_metrics(load_events(telemetry))
         except ValueError as exc:
             data.notes.append(f"telemetry unreadable: {exc}")
     else:
@@ -157,30 +187,8 @@ def _relative_divergence(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-def _window_means(
-    series: dict[str, list[float]], day: int
-) -> dict[str, tuple[float, float]]:
-    """(pre, post) window means per series around a policy day."""
-    out: dict[str, tuple[float, float]] = {}
-    for name, values in series.items():
-        pre = values[max(0, day - POLICY_WINDOW_DAYS) : day]
-        post = values[day : day + POLICY_WINDOW_DAYS]
-        out[name] = (
-            float(sum(pre) / len(pre)) if pre else 0.0,
-            float(sum(post) / len(post)) if post else 0.0,
-        )
-    return out
-
-
 def diff_runs(a: RunData, b: RunData) -> RunDiff:
     """Compare two loaded runs along every recorded axis."""
-    phases: dict[str, tuple[float | None, float | None]] = {}
-    for name in PHASE_NAMES:
-        in_a = a.phases.get(name) if a.phases else None
-        in_b = b.phases.get(name) if b.phases else None
-        if in_a is not None or in_b is not None:
-            phases[name] = (in_a, in_b)
-
     counter_deltas: dict[str, tuple[float, float]] = {}
     counters_a = (a.metrics or {}).get("counters") or {}
     counters_b = (b.metrics or {}).get("counters") or {}
@@ -218,15 +226,14 @@ def diff_runs(a: RunData, b: RunData) -> RunDiff:
             policy_windows[day] = {
                 name: {
                     "a": means_a,
-                    "b": _window_means(series_b, day).get(name, (0.0, 0.0)),
+                    "b": window_means(series_b, day).get(name, (0.0, 0.0)),
                 }
-                for name, means_a in _window_means(series_a, day).items()
+                for name, means_a in window_means(series_a, day).items()
             }
 
     return RunDiff(
         a=a,
         b=b,
-        phases=phases,
         counter_deltas=counter_deltas,
         new_misses=new_misses,
         series_divergence=series_divergence,
@@ -238,14 +245,17 @@ def diff_runs(a: RunData, b: RunData) -> RunDiff:
 # --fail-on rules
 # ----------------------------------------------------------------------
 
-_RULES = ("drift", "phase_time", "validation", "degraded", "rss")
+_RULES = ("drift", "validation", "degraded")
 
 
-def parse_fail_on(specs: list[str]) -> dict[str, float]:
+def parse_fail_on(
+    specs: list[str], known: tuple[str, ...] = _RULES
+) -> dict[str, float]:
     """Parse ``--fail-on`` rule strings into ``{rule: threshold}``.
 
     Accepts repeated flags and comma-separated lists; raises
-    ``ValueError`` on an unknown rule or malformed threshold.
+    ``ValueError`` on a rule not in ``known`` or a threshold that is
+    not a finite number >= 0.
     """
     rules: dict[str, float] = {}
     for spec in specs:
@@ -259,17 +269,23 @@ def parse_fail_on(specs: list[str]) -> dict[str, float]:
                     f"--fail-on rule {part!r} must be name=threshold"
                 )
             name = name.strip()
-            if name not in _RULES:
+            if name not in known:
                 raise ValueError(
                     f"unknown --fail-on rule {name!r} "
-                    f"(known: {', '.join(_RULES)})"
+                    f"(known: {', '.join(known)})"
                 )
             try:
-                rules[name] = float(raw)
+                threshold = float(raw)
             except ValueError:
                 raise ValueError(
                     f"--fail-on {name}: threshold {raw!r} is not a number"
                 ) from None
+            if not (math.isfinite(threshold) and threshold >= 0):
+                raise ValueError(
+                    f"--fail-on {name}: threshold {raw!r} must be a "
+                    f"finite number >= 0"
+                )
+            rules[name] = threshold
     return rules
 
 
@@ -299,19 +315,6 @@ def evaluate_fail_on(diff: RunDiff, rules: dict[str, float]) -> list[str]:
                         f"{divergence:.3g} > {threshold:g}"
                     )
 
-    if "phase_time" in rules:
-        threshold = rules["phase_time"]
-        for name, (sec_a, sec_b) in sorted(diff.phases.items()):
-            if sec_a is None or sec_b is None or sec_a <= 0:
-                continue
-            regression = sec_b / sec_a - 1.0
-            if regression > threshold:
-                violations.append(
-                    f"phase_time: {name} regressed "
-                    f"{sec_a:.3f}s -> {sec_b:.3f}s "
-                    f"(+{regression:.0%} > {threshold:.0%})"
-                )
-
     if "degraded" in rules:
         budget = rules["degraded"]
         metrics_b = diff.b.metrics
@@ -334,28 +337,6 @@ def evaluate_fail_on(diff: RunDiff, rules: dict[str, float]) -> list[str]:
                     f"degraded: run b degraded {degraded:g} auxiliary "
                     f"write(s) (io.degraded + io.giveups > {budget:g})"
                 )
-
-    if "rss" in rules:
-        threshold = rules["rss"]
-        peak_a = ((diff.a.resources or {}).get("overall") or {}).get(
-            "rss_peak_kb"
-        )
-        peak_b = ((diff.b.resources or {}).get("overall") or {}).get(
-            "rss_peak_kb"
-        )
-        if peak_a is None and peak_b is None:
-            pass  # neither run sampled resources: nothing to compare
-        elif peak_a is None or peak_b is None:
-            missing = diff.b.path if peak_b is None else diff.a.path
-            violations.append(
-                f"rss: {missing} has no resource envelope in its telemetry"
-            )
-        elif peak_a > 0 and peak_b / peak_a - 1.0 > threshold:
-            violations.append(
-                f"rss: peak RSS grew {peak_a / 1024:.1f}M -> "
-                f"{peak_b / 1024:.1f}M "
-                f"(+{peak_b / peak_a - 1.0:.0%} > {threshold:.0%})"
-            )
 
     if "validation" in rules:
         budget = rules["validation"]
@@ -395,24 +376,14 @@ def diff_json(
     rules: dict[str, float] | None = None,
     violations: list[str] | None = None,
 ) -> dict:
-    """The diff as a machine-readable document (``repro.diff/v2``).
+    """The diff as a machine-readable document (``repro.diff/v3``).
 
-    Same content as :func:`render_diff` -- phase timings, counter
-    deltas, validation pass/miss, per-series divergence, policy-window
-    means, resource peaks, notes -- plus the evaluated ``--fail-on``
-    rules and their violations when a gate ran, so a CI consumer reads
-    one artifact instead of scraping stdout.
+    Same content as :func:`render_diff` -- counter deltas, validation
+    pass/miss, per-series divergence, policy-window means, notes --
+    plus the evaluated ``--fail-on`` rules and their violations when a
+    gate ran, so a CI consumer reads one artifact instead of scraping
+    stdout.
     """
-    phases = {
-        name: {
-            "a": sec_a,
-            "b": sec_b,
-            "regression": (
-                sec_b / sec_a - 1.0 if sec_a and sec_b and sec_a > 0 else None
-            ),
-        }
-        for name, (sec_a, sec_b) in sorted(diff.phases.items())
-    }
     policy_windows = {
         str(day): {
             name: {
@@ -423,17 +394,10 @@ def diff_json(
         }
         for day, per_series in sorted(diff.policy_windows.items())
     }
-
-    def peak(data: RunData) -> float | None:
-        return ((data.resources or {}).get("overall") or {}).get(
-            "rss_peak_kb"
-        )
-
     document = {
         "schema": DIFF_SCHEMA,
         "run_a": str(diff.a.path),
         "run_b": str(diff.b.path),
-        "phases_s": phases,
         "counter_deltas": {
             name: {"a": va, "b": vb}
             for name, (va, vb) in sorted(diff.counter_deltas.items())
@@ -450,7 +414,6 @@ def diff_json(
             for name, divergence in sorted(diff.series_divergence.items())
         },
         "policy_windows": policy_windows,
-        "rss_peak_kb": {"a": peak(diff.a), "b": peak(diff.b)},
         "notes": {"a": list(diff.a.notes), "b": list(diff.b.notes)},
     }
     if rules is not None:
@@ -463,19 +426,6 @@ def render_diff(diff: RunDiff, top_series: int = 12) -> str:
     """Human-readable diff report."""
     lines = [f"run diff: {diff.a.path}  vs  {diff.b.path}", ""]
 
-    lines.append("phase timings (s):")
-    if diff.phases:
-        for name, (sec_a, sec_b) in diff.phases.items():
-            fa = f"{sec_a:.3f}" if sec_a is not None else "-"
-            fb = f"{sec_b:.3f}" if sec_b is not None else "-"
-            delta = ""
-            if sec_a and sec_b:
-                delta = f"  ({sec_b / sec_a - 1.0:+.1%})"
-            lines.append(f"  {name:<20} {fa:>10}  {fb:>10}{delta}")
-    else:
-        lines.append("  (no telemetry in either run)")
-
-    lines.append("")
     lines.append("final counters differing:")
     if diff.counter_deltas:
         for name, (va, vb) in diff.counter_deltas.items():
@@ -534,21 +484,6 @@ def render_diff(diff: RunDiff, top_series: int = 12) -> str:
                     f"    {name:<22} a: {pa:.4g} -> {qa:.4g}   "
                     f"b: {pb:.4g} -> {qb:.4g}"
                 )
-
-    peak_a = ((diff.a.resources or {}).get("overall") or {}).get(
-        "rss_peak_kb"
-    )
-    peak_b = ((diff.b.resources or {}).get("overall") or {}).get(
-        "rss_peak_kb"
-    )
-    if peak_a is not None or peak_b is not None:
-        fa = f"{peak_a / 1024:.1f}M" if peak_a is not None else "-"
-        fb = f"{peak_b / 1024:.1f}M" if peak_b is not None else "-"
-        delta = ""
-        if peak_a and peak_b:
-            delta = f"  ({peak_b / peak_a - 1.0:+.1%})"
-        lines.append("")
-        lines.append(f"peak RSS: {fa:>10}  {fb:>10}{delta}")
 
     notes = [f"a: {n}" for n in diff.a.notes] + [
         f"b: {n}" for n in diff.b.notes

@@ -1,12 +1,13 @@
 """Package-wide logging setup.
 
 One idempotent entry point, :func:`setup_logging`, configures the
-``repro`` logger tree with a stderr handler so CLI diagnostics and
-:class:`~repro.obs.sink.LogSink` telemetry share a single, consistent
-channel.  User-facing CLI *output* (reports, summaries) stays on
-stdout via ``print``; everything diagnostic goes through ``logging``
-to stderr -- that is the package convention the ``__main__`` modules
-follow.
+``repro`` logger tree with a stderr handler so every CLI's diagnostics
+share a single, consistent channel.  Telemetry does not go through
+logging: spans, events and metrics reach only the attached sinks
+(:mod:`repro.obs.sink`).  User-facing CLI *output* (reports,
+summaries) stays on stdout via ``print``; everything diagnostic goes
+through ``logging`` to stderr -- that is the package convention the
+``__main__`` modules follow.
 
 The handler resolves ``sys.stderr`` at emit time rather than capturing
 it at construction, so redirection (including pytest's ``capsys``)

@@ -9,9 +9,8 @@ ETA, counter snapshot, last checkpoint, degradation state -- and
 atomically rewrites ``progress.json`` on every heartbeat and checkpoint
 event, **independent of the checkpoint-gated telemetry flush**.  The
 file is tiny and replaced via the usual tmp + fsync + ``os.replace``
-protocol, so a reader (``python -m repro.obs watch``, the run
-registry's live-status column, CI) always sees a complete JSON object,
-never a torn one.
+protocol, so a reader (``python -m repro.obs watch``, CI) always sees
+a complete JSON object, never a torn one.
 
 Like everything in ``repro.obs``, the sink is a pure observer: it
 never draws randomness and only does arithmetic on event payloads, so
@@ -220,7 +219,7 @@ def _format_eta(eta_s: float | None) -> str:
 
 
 def render_progress(progress: dict, stale_s: float | None = None) -> str:
-    """One status line for a sidecar payload (watch CLI, registry)."""
+    """One status line for a sidecar payload (the watch CLI)."""
     status = progress.get("status", "?")
     day = progress.get("day")
     days = progress.get("days")

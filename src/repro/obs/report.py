@@ -30,6 +30,7 @@ from .sink import TELEMETRY_NAME
 __all__ = [
     "load_events",
     "aggregate_spans",
+    "last_metrics",
     "last_resources",
     "render_report",
     "report_json",
@@ -169,10 +170,7 @@ def _render_events(events: list[dict]) -> list[str]:
 
 
 def _render_metrics(events: list[dict]) -> list[str]:
-    snapshot = None
-    for event in events:
-        if event.get("kind") == "metrics":
-            snapshot = event.get("data")
+    snapshot = last_metrics(events)
     if not snapshot:
         return []
     lines = ["metrics (last snapshot):"]
@@ -201,6 +199,15 @@ def _render_metrics(events: list[dict]) -> list[str]:
                 f"mean={mean:.4f}"
             )
     return lines
+
+
+def last_metrics(events: list[dict]) -> dict | None:
+    """The final cumulative metrics snapshot in a telemetry stream."""
+    snapshot = None
+    for event in events:
+        if event.get("kind") == "metrics":
+            snapshot = event.get("data")
+    return snapshot
 
 
 def last_resources(events: list[dict]) -> dict | None:
@@ -270,17 +277,13 @@ def report_json(
         record = by_name.setdefault(name, {"count": 0, "last_attrs": {}})
         record["count"] += 1
         record["last_attrs"] = event.get("attrs") or {}
-    metrics = None
-    for event in events:
-        if event.get("kind") == "metrics":
-            metrics = event.get("data")
     return {
         "schema": REPORT_SCHEMA,
         "source": str(source) if source is not None else None,
         "events": len(events),
         "spans": spans,
         "events_by_name": {name: by_name[name] for name in sorted(by_name)},
-        "metrics": metrics,
+        "metrics": last_metrics(events),
         "resources": last_resources(events),
     }
 

@@ -23,10 +23,10 @@ on an :class:`threading.Event`, so total overhead stays far inside the
 3% telemetry budget (``benchmarks/test_obs_overhead.py``).
 
 The summary lands in two places: a ``{"kind": "resources"}`` event in
-``telemetry.jsonl`` (rendered by ``repro.obs report``, drawn by
-``repro.obs dash`` and compared by ``repro.obs diff --fail-on
-rss=FRAC``), and notebooks via :meth:`ResourceSampler.summary`
-directly.
+``telemetry.jsonl`` (rendered by ``repro.obs report``), and notebooks
+via :meth:`ResourceSampler.summary` directly.  Comparing memory across
+commits is the repository benchmark's job (``bench/run.py``,
+``peak_rss_mb``), not a run-directory diff's.
 """
 
 from __future__ import annotations

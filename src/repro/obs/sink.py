@@ -1,14 +1,12 @@
 """Telemetry sinks: where tracer events go.
 
-Three concrete sinks cover the package's needs:
+The default is *no* sink attached, and the tracer then builds no
+event payloads at all.  This module defines two concrete sinks (the
+third, :class:`~repro.obs.progress.ProgressSink`, writes the live
+``progress.json`` sidecar):
 
-* :class:`NullSink` -- swallows everything; the de-facto default is
-  simply *no* sinks attached, but an explicit no-op is useful for
-  overhead comparisons.
-* :class:`LogSink` -- forwards events to the package-wide ``logging``
-  tree (``repro.obs``): spans at DEBUG, events/metrics at INFO.  With
-  :func:`repro.obs.setup_logging` this replaces scattered ``print()``
-  diagnostics.
+* :class:`MemorySink` -- collects events in a list; behind
+  :func:`repro.obs.capture` for tests and the bench harness.
 * :class:`JsonlSink` -- buffers events in memory and persists them as
   ``telemetry.jsonl`` with the same tmp + fsync + ``os.replace``
   protocol the checkpoint manifest uses
@@ -29,15 +27,12 @@ can treat the whole file as one run history.
 from __future__ import annotations
 
 import json
-import logging
 from pathlib import Path
 
 __all__ = [
     "TELEMETRY_NAME",
     "Sink",
-    "NullSink",
     "MemorySink",
-    "LogSink",
     "JsonlSink",
 ]
 
@@ -59,13 +54,6 @@ class Sink:
         self.flush()
 
 
-class NullSink(Sink):
-    """Swallows every event (explicit no-op baseline)."""
-
-    def emit(self, event: dict) -> None:
-        pass
-
-
 class MemorySink(Sink):
     """Collects events in a list -- for tests and the bench harness."""
 
@@ -74,48 +62,6 @@ class MemorySink(Sink):
 
     def emit(self, event: dict) -> None:
         self.events.append(event)
-
-
-class LogSink(Sink):
-    """Forwards events to the ``repro.obs`` logger (stderr via
-    :func:`repro.obs.setup_logging`)."""
-
-    def __init__(
-        self,
-        logger: logging.Logger | None = None,
-        span_level: int = logging.DEBUG,
-        event_level: int = logging.INFO,
-    ) -> None:
-        self._logger = logger or logging.getLogger("repro.obs")
-        self._span_level = span_level
-        self._event_level = event_level
-
-    def emit(self, event: dict) -> None:
-        kind = event.get("kind")
-        if kind == "span":
-            self._logger.log(
-                self._span_level,
-                "span %s dur=%.4fs attrs=%s",
-                event.get("name"),
-                event.get("dur", 0.0),
-                event.get("attrs") or {},
-            )
-        elif kind == "metrics":
-            data = event.get("data") or {}
-            self._logger.log(
-                self._event_level,
-                "metrics snapshot: %d counters, %d gauges, %d histograms",
-                len(data.get("counters", ())),
-                len(data.get("gauges", ())),
-                len(data.get("histograms", ())),
-            )
-        else:
-            self._logger.log(
-                self._event_level,
-                "%s %s",
-                event.get("name"),
-                event.get("attrs") or {},
-            )
 
 
 class JsonlSink(Sink):

@@ -64,10 +64,22 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-__all__ = ["DAYLEDGER_NAME", "LEDGER_SERIES", "DayLedger", "load_rows"]
+__all__ = [
+    "DAYLEDGER_NAME",
+    "LEDGER_SERIES",
+    "POLICY_WINDOW_DAYS",
+    "DayLedger",
+    "load_rows",
+    "window_means",
+]
 
 #: Ledger file name inside a checkpoint-runner run directory.
 DAYLEDGER_NAME = "dayledger.jsonl"
+
+#: Days on each side of a policy change over which window means are
+#: computed (four weeks -- matches the paper's quarter-scale framing of
+#: the Year-2 regime shift without washing it out).
+POLICY_WINDOW_DAYS = 28
 
 #: Integer accumulators fed during Phase 3 (market/auction sourced).
 _MARKET_INT_FIELDS = (
@@ -374,3 +386,18 @@ def rows_to_series(rows: list[dict]) -> dict[str, list[float]]:
 def policy_days(rows: list[dict]) -> list[int]:
     """Days flagged ``policy_change`` in a ledger row list."""
     return [int(row["day"]) for row in rows if row.get("policy_change")]
+
+
+def window_means(
+    series: dict[str, list[float]], day: int
+) -> dict[str, tuple[float, float]]:
+    """(pre, post) window means per series around a policy day."""
+    out: dict[str, tuple[float, float]] = {}
+    for name, values in series.items():
+        pre = values[max(0, day - POLICY_WINDOW_DAYS) : day]
+        post = values[day : day + POLICY_WINDOW_DAYS]
+        out[name] = (
+            float(sum(pre) / len(pre)) if pre else 0.0,
+            float(sum(post) / len(post)) if post else 0.0,
+        )
+    return out

@@ -20,8 +20,12 @@ from repro.obs.analyze import (
     policy_effects,
     rolling_mad_scores,
 )
-from repro.obs.diff import _window_means
-from repro.obs.timeseries import DAYLEDGER_NAME, DayLedger, rows_to_series
+from repro.obs.timeseries import (
+    DAYLEDGER_NAME,
+    DayLedger,
+    rows_to_series,
+    window_means,
+)
 
 from .test_diff import make_run
 
@@ -97,7 +101,7 @@ class TestPolicyEffects:
         rows = _spiked_ledger(days=70, spike_day=32, policy_day=30).rows()
         effects = policy_effects(rows)
         assert list(effects) == ["30"]
-        expected = _window_means(rows_to_series(rows), 30)
+        expected = window_means(rows_to_series(rows), 30)
         for name, (pre, post) in expected.items():
             effect = effects["30"][name]
             assert effect["pre_mean"] == pre
@@ -153,7 +157,7 @@ class TestFailOn:
         assert rules == {"anomalies": 0.0, "level_shifts": 2.0}
         with pytest.raises(ValueError, match="unknown"):
             parse_analyze_fail_on(["bogus=1"])
-        with pytest.raises(ValueError, match="must be name=N"):
+        with pytest.raises(ValueError, match="must be name=threshold"):
             parse_analyze_fail_on(["anomalies"])
         with pytest.raises(ValueError, match="not a number"):
             parse_analyze_fail_on(["anomalies=lots"])
@@ -241,6 +245,21 @@ class TestCli:
         run_dir = make_run(tmp_path, "a")
         assert obs_main(["analyze", str(run_dir), "--fail-on", "bogus=1"]) == 2
         capsys.readouterr()
+
+    def test_nan_threshold_exits_2(self, tmp_path, capsys):
+        # anomalies=0 fails this ledger; anomalies=nan must not pass it.
+        run_dir = make_run(tmp_path, "a", ledger=_spiked_ledger())
+        assert obs_main(["analyze", str(run_dir), "--fail-on", "anomalies=0"]) == 1
+        capsys.readouterr()
+        code = obs_main(["analyze", str(run_dir), "--fail-on", "anomalies=nan"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "held" not in captured.out
+        errors = [
+            line for line in captured.err.splitlines()
+            if line.startswith("ERROR")
+        ]
+        assert len(errors) == 1 and "anomalies" in errors[0]
 
     def test_damaged_ledger_exits_2(self, tmp_path, capsys):
         run_dir = make_run(tmp_path, "a")

@@ -13,6 +13,7 @@ from repro.obs.diff import (
     diff_runs,
     evaluate_fail_on,
     load_run,
+    load_validation,
     parse_fail_on,
     render_diff,
 )
@@ -65,7 +66,6 @@ def make_run(
     root: Path,
     name: str,
     *,
-    phase3_s: float = 2.0,
     counters: dict | None = None,
     ledger: DayLedger | None = None,
     validation_ok: tuple[str, ...] = ("fraud_share", "cpc"),
@@ -79,9 +79,9 @@ def make_run(
         json.dumps({"seed": 7, "days": 4, "phase": "complete", "chunks": []})
     )
     events = [
-        _span(1, None, "runner.run", dur=phase3_s + 1.0),
+        _span(1, None, "runner.run", dur=3.0),
         _span(2, 1, "phase1.population", dur=0.5),
-        _span(3, 1, "phase3.auctions", dur=phase3_s),
+        _span(3, 1, "phase3.auctions", dur=2.0),
         _metrics(counters or {"auction.rows_emitted": 100}),
     ]
     if rss_peak_kb is not None:
@@ -147,20 +147,6 @@ class TestDiffRuns:
         violations = evaluate_fail_on(diff, {"drift": 1e9})
         assert any("__days__" in v for v in violations)
 
-    def test_phase_regression_fails_phase_time(self, tmp_path):
-        a = make_run(tmp_path, "a", phase3_s=2.0)
-        b = make_run(tmp_path, "b", phase3_s=3.0)  # +50%
-        diff = diff_runs(load_run(a), load_run(b))
-        violations = evaluate_fail_on(diff, {"phase_time": 0.25})
-        assert any("phase3.auctions" in v for v in violations)
-        assert evaluate_fail_on(diff, {"phase_time": 0.6}) == []
-
-    def test_speedup_never_violates_phase_time(self, tmp_path):
-        a = make_run(tmp_path, "a", phase3_s=3.0)
-        b = make_run(tmp_path, "b", phase3_s=2.0)
-        diff = diff_runs(load_run(a), load_run(b))
-        assert evaluate_fail_on(diff, {"phase_time": 0.0}) == []
-
     def test_new_validation_miss_fails_budget(self, tmp_path):
         a = make_run(tmp_path, "a", validation_ok=("fraud_share", "cpc"))
         b = make_run(
@@ -209,9 +195,9 @@ class TestDiffRuns:
 
 class TestParseFailOn:
     def test_comma_and_repeat_forms(self):
-        assert parse_fail_on(["drift=0,phase_time=0.25", "validation=1"]) == {
+        assert parse_fail_on(["drift=0,degraded=0.25", "validation=1"]) == {
             "drift": 0.0,
-            "phase_time": 0.25,
+            "degraded": 0.25,
             "validation": 1.0,
         }
 
@@ -227,6 +213,13 @@ class TestParseFailOn:
         with pytest.raises(ValueError, match="not a number"):
             parse_fail_on(["drift=tight"])
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "-1"])
+    def test_non_finite_or_negative_threshold_raises(self, raw):
+        # `x > nan` is always false, so a nan threshold would silently
+        # turn its gate off; a negative one would fail every input.
+        with pytest.raises(ValueError, match="must be a finite number >= 0"):
+            parse_fail_on([f"drift={raw}"])
+
 
 class TestDiffCli:
     def test_identical_runs_exit_0(self, tmp_path, capsys):
@@ -239,25 +232,50 @@ class TestDiffCli:
 
     def test_perturbed_run_exits_1(self, tmp_path, capsys):
         # Acceptance criterion: diff exits non-zero on a perturbed
-        # ledger or timing.
-        a = make_run(tmp_path, "a", phase3_s=2.0)
+        # ledger or a newly missed validation target.
+        a = make_run(tmp_path, "a")
         b = make_run(
-            tmp_path, "b", phase3_s=4.0, ledger=_ledger(clicks=11.0)
+            tmp_path, "b", ledger=_ledger(clicks=11.0),
+            validation_ok=("cpc",), validation_miss=("fraud_share",),
         )
         code = obs_main(
             ["diff", str(a), str(b),
-             "--fail-on", "drift=0,phase_time=0.25"]
+             "--fail-on", "drift=0,validation=0"]
         )
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL:" in out
         assert "drift" in out
-        assert "phase_time" in out
+        assert "validation" in out
 
     def test_bad_rule_exits_2(self, tmp_path):
         a = make_run(tmp_path, "a")
         b = make_run(tmp_path, "b")
         assert obs_main(["diff", str(a), str(b), "--fail-on", "bogus=1"]) == 2
+
+    @pytest.mark.parametrize("rule", ["phase_time=0.25", "rss=0.05"])
+    def test_perf_rule_exits_2(self, tmp_path, capsys, rule):
+        # Timing and memory gates belong to the repository benchmark.
+        a = make_run(tmp_path, "a")
+        b = make_run(tmp_path, "b")
+        assert obs_main(["diff", str(a), str(b), "--fail-on", rule]) == 2
+        assert "unknown --fail-on rule" in capsys.readouterr().err
+
+    def test_nan_threshold_exits_2(self, tmp_path, capsys):
+        # drift=0 fails this pair; drift=nan must not pass it instead.
+        a = make_run(tmp_path, "a")
+        b = make_run(tmp_path, "b", ledger=_ledger(clicks=11.0))
+        assert obs_main(["diff", str(a), str(b), "--fail-on", "drift=0"]) == 1
+        capsys.readouterr()
+        code = obs_main(["diff", str(a), str(b), "--fail-on", "drift=nan"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "held" not in captured.out
+        errors = [
+            line for line in captured.err.splitlines()
+            if line.startswith("ERROR")
+        ]
+        assert len(errors) == 1 and "drift" in errors[0]
 
     def test_missing_run_dir_exits_2(self, tmp_path):
         a = make_run(tmp_path, "a")
@@ -307,62 +325,6 @@ class TestDegradedRule:
         assert violations and "telemetry" in violations[0]
 
 
-class TestRssRule:
-    def test_flat_memory_passes_tight_budget(self, tmp_path):
-        a = make_run(tmp_path, "a", rss_peak_kb=100_000.0)
-        b = make_run(tmp_path, "b", rss_peak_kb=100_000.0)
-        diff = diff_runs(load_run(a), load_run(b))
-        assert evaluate_fail_on(diff, parse_fail_on(["rss=0"])) == []
-
-    def test_growth_beyond_fraction_violates(self, tmp_path):
-        a = make_run(tmp_path, "a", rss_peak_kb=100_000.0)
-        b = make_run(tmp_path, "b", rss_peak_kb=110_000.0)  # +10%
-        diff = diff_runs(load_run(a), load_run(b))
-        violations = evaluate_fail_on(diff, {"rss": 0.05})
-        assert violations and "rss" in violations[0]
-        assert "peak RSS grew" in violations[0]
-        # The same growth fits inside a 15% budget.
-        assert evaluate_fail_on(diff, {"rss": 0.15}) == []
-
-    def test_shrinking_memory_never_violates(self, tmp_path):
-        a = make_run(tmp_path, "a", rss_peak_kb=110_000.0)
-        b = make_run(tmp_path, "b", rss_peak_kb=100_000.0)
-        diff = diff_runs(load_run(a), load_run(b))
-        assert evaluate_fail_on(diff, {"rss": 0.0}) == []
-
-    def test_both_sides_without_envelope_skip(self, tmp_path):
-        # Pre-sampler runs have no resources event: the rule cannot
-        # apply, so it skips instead of failing retroactively.
-        a = make_run(tmp_path, "a")
-        b = make_run(tmp_path, "b")
-        diff = diff_runs(load_run(a), load_run(b))
-        assert evaluate_fail_on(diff, {"rss": 0.0}) == []
-
-    def test_one_side_without_envelope_violates(self, tmp_path):
-        a = make_run(tmp_path, "a", rss_peak_kb=100_000.0)
-        b = make_run(tmp_path, "b")
-        diff = diff_runs(load_run(a), load_run(b))
-        violations = evaluate_fail_on(diff, {"rss": 0.0})
-        assert violations and "no resource envelope" in violations[0]
-
-    def test_parse_accepts_rss(self):
-        assert parse_fail_on(["rss=0.05"]) == {"rss": 0.05}
-
-    def test_render_diff_shows_peak_rss_line(self, tmp_path):
-        a = make_run(tmp_path, "a", rss_peak_kb=100_000.0)
-        b = make_run(tmp_path, "b", rss_peak_kb=110_000.0)
-        diff = diff_runs(load_run(a), load_run(b))
-        assert "peak RSS" in render_diff(diff)
-
-    def test_cli_rss_gate_exits_1_on_growth(self, tmp_path, capsys):
-        a = make_run(tmp_path, "a", rss_peak_kb=100_000.0)
-        b = make_run(tmp_path, "b", rss_peak_kb=150_000.0)
-        code = obs_main(["diff", str(a), str(b), "--fail-on", "rss=0.1"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "rss" in out
-
-
 class TestDiffJson:
     def test_schema_and_sections(self, tmp_path):
         from repro.obs.diff import DIFF_SCHEMA, diff_json
@@ -374,7 +336,6 @@ class TestDiffJson:
         document = diff_json(diff_runs(load_run(a), load_run(b)))
         assert document["schema"] == DIFF_SCHEMA
         assert document["run_a"] == str(a) and document["run_b"] == str(b)
-        assert document["phases_s"]["phase3.auctions"]["regression"] == 0.0
         assert document["series_divergence"]["clicks"] == 0.0
         assert "2" in document["policy_windows"]
         # No rules requested: the gate keys stay out of the document.
@@ -395,7 +356,7 @@ class TestDiffJson:
         b = make_run(tmp_path, "b")
         assert obs_main(["diff", str(a), str(b), "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["schema"] == "repro.diff/v2"
+        assert document["schema"] == "repro.diff/v3"
 
     def test_cli_json_out_writes_file(self, tmp_path, capsys):
         a = make_run(tmp_path, "a")
@@ -404,7 +365,7 @@ class TestDiffJson:
         code = obs_main(["diff", str(a), str(b), "--json", "--out", str(target)])
         assert code == 0
         assert f"wrote diff -> {target}" in capsys.readouterr().out
-        assert json.loads(target.read_text())["schema"] == "repro.diff/v2"
+        assert json.loads(target.read_text())["schema"] == "repro.diff/v3"
 
     def test_cli_out_without_json_exits_2(self, tmp_path, capsys):
         a = make_run(tmp_path, "a")
@@ -415,16 +376,16 @@ class TestDiffJson:
         capsys.readouterr()
 
     def test_cli_json_violation_exits_1_and_embeds_gate(self, tmp_path, capsys):
-        a = make_run(tmp_path, "a", phase3_s=2.0)
-        b = make_run(tmp_path, "b", phase3_s=4.0)
+        a = make_run(tmp_path, "a")
+        b = make_run(tmp_path, "b", ledger=_ledger(clicks=11.0))
         code = obs_main(
-            ["diff", str(a), str(b), "--json", "--fail-on", "phase_time=0.25"]
+            ["diff", str(a), str(b), "--json", "--fail-on", "drift=0"]
         )
         assert code == 1
         document = json.loads(capsys.readouterr().out)
-        assert document["fail_on"] == {"phase_time": 0.25}
+        assert document["fail_on"] == {"drift": 0.0}
         assert document["violations"]
-        assert "phase3.auctions" in document["violations"][0]
+        assert "clicks" in document["violations"][0]
 
     def test_text_output_unchanged_by_json_flag_absence(self, tmp_path, capsys):
         # The pre-existing text path still renders (no accidental JSON).
@@ -433,4 +394,37 @@ class TestDiffJson:
         assert obs_main(["diff", str(a), str(b)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("run diff: ")
-        assert "phase timings" in out
+        assert "final counters differing" in out
+
+
+class TestLoadValidation:
+    def test_report_text_fallback(self, tmp_path):
+        # No validation.json: parse the stable report line format.
+        (tmp_path / "validation_report.txt").write_text(
+            "validation vs paper\n"
+            "[ok  ] fraud_click_share                          "
+            "paper: ~33% of clicks            measured: 0.31 (sec 5.1)\n"
+            "[MISS] mean_cpc                                   "
+            "paper: $0.50-2.00                measured: 9.1 (sec 4.2)\n"
+        )
+        result = load_validation(tmp_path)
+        assert result == {
+            "passed": 1,
+            "total": 2,
+            "ok": ["fraud_click_share"],
+            "miss": ["mean_cpc"],
+        }
+
+    def test_json_takes_precedence(self, tmp_path):
+        run_dir = make_run(tmp_path, "a", validation_ok=("only_json",))
+        (run_dir / "validation_report.txt").write_text(
+            "[ok  ] from_text  paper: x  measured: 1 (s)\n"
+        )
+        assert load_validation(run_dir)["ok"] == ["only_json"]
+
+    def test_no_artifact_returns_none(self, tmp_path):
+        assert load_validation(tmp_path) is None
+
+    def test_corrupt_json_returns_none(self, tmp_path):
+        (tmp_path / "validation.json").write_text("{broken")
+        assert load_validation(tmp_path) is None

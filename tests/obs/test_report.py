@@ -10,12 +10,15 @@ from repro.obs.__main__ import main as obs_main
 from repro.obs.report import (
     REPORT_SCHEMA,
     aggregate_spans,
+    last_metrics,
     last_resources,
     load_events,
     render_report,
     report_json,
     report_path,
 )
+
+from .test_diff import make_run
 
 
 def _span(span_id, parent, name, dur=0.5):
@@ -191,6 +194,15 @@ class TestResourcesSection:
         assert last_resources(events)["overall"]["samples"] == 9
         assert last_resources([]) is None
 
+    def test_last_metrics_returns_final_snapshot(self):
+        events = [
+            {"t": float(t), "kind": "metrics",
+             "data": {"counters": {"rows": t}, "gauges": {}, "histograms": {}}}
+            for t in (1, 2)
+        ]
+        assert last_metrics(events)["counters"] == {"rows": 2}
+        assert last_metrics([_span(1, None, "run")]) is None
+
     def test_render_report_includes_resource_envelope(self):
         text = render_report([_resources_event()])
         assert "resources:" in text
@@ -252,3 +264,23 @@ class TestReportJson:
         assert obs_main(
             ["report", str(tmp_path), "--out", str(tmp_path / "r.json")]
         ) == 2
+
+
+class TestSubcommands:
+    def test_help_lists_exactly_four_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            obs_main(["--help"])
+        assert excinfo.value.code == 0
+        assert "{report,watch,diff,analyze}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["dash", "runs", "export"])
+    def test_removed_subcommand_exits_2_on_a_run_dir(
+        self, tmp_path, capsys, command
+    ):
+        run_dir = make_run(tmp_path, "a")
+        before = sorted(p.name for p in run_dir.iterdir())
+        with pytest.raises(SystemExit) as excinfo:
+            obs_main([command, str(run_dir)])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert sorted(p.name for p in run_dir.iterdir()) == before

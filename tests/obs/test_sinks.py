@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import json
-import logging
 
-from repro.obs.sink import JsonlSink, LogSink, MemorySink, NullSink
+from repro.obs.sink import JsonlSink, MemorySink
 from repro.obs.trace import Tracer
 
 
@@ -23,29 +22,11 @@ def _span_event(span_id, parent=None, name="s"):
 
 
 class TestBasicSinks:
-    def test_null_sink_swallows(self):
-        sink = NullSink()
-        sink.emit(_span_event(1))
-        sink.flush()
-        sink.close()
-
     def test_memory_sink_collects(self):
         sink = MemorySink()
         sink.emit(_span_event(1))
         sink.emit(_span_event(2))
         assert [e["id"] for e in sink.events] == [1, 2]
-
-    def test_log_sink_routes_levels(self, caplog):
-        logger = logging.getLogger("test.obs.logsink")
-        sink = LogSink(logger=logger)
-        with caplog.at_level(logging.DEBUG, logger="test.obs.logsink"):
-            sink.emit(_span_event(1, name="phase"))
-            sink.emit({"t": 1.0, "kind": "event", "name": "beat", "attrs": {}})
-            sink.emit({"t": 1.0, "kind": "metrics", "data": {"counters": {"a": 1}}})
-        levels = [record.levelno for record in caplog.records]
-        assert levels == [logging.DEBUG, logging.INFO, logging.INFO]
-        assert "phase" in caplog.records[0].message
-        assert "metrics snapshot" in caplog.records[2].message
 
 
 class TestJsonlSink:
