@@ -42,17 +42,6 @@ class Campaign:
         """Attach a keyword bid."""
         self.bids.append(bid)
 
-    def extend_ads(self, ads: list[Ad]) -> None:
-        """Attach many ads; all must carry this campaign's id."""
-        for ad in ads:
-            if ad.campaign_id != self.campaign_id:
-                raise ValueError("ad belongs to a different campaign")
-        self.ads.extend(ads)
-
-    def extend_bids(self, bids: list[KeywordBid]) -> None:
-        """Attach many keyword bids."""
-        self.bids.extend(bids)
-
     @classmethod
     def bulk(
         cls,

@@ -17,8 +17,9 @@ and ``analyze`` exit 0 when every ``--fail-on`` rule holds, 1 on a
 violation, and 2 when inputs are unreadable or a rule is malformed
 (an unknown name, or a threshold that is not a finite number >= 0).
 ``report`` and ``watch`` on a run with missing telemetry or sidecar
-print a notice and exit 0 -- absent telemetry is a normal state
-(``telemetry=False`` runs, pre-sidecar dirs), not an error.
+print a notice and exit 0 -- absent telemetry is a normal state (a run
+that has not flushed yet, or whose telemetry writes degraded), not an
+error.
 ``analyze`` exits 2 on an unreadable ledger: it produces an artifact,
 so a silent no-op would masquerade as success.
 """

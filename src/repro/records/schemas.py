@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from ..entities.advertiser import Advertiser
 from ..entities.enums import AdvertiserKind, ShutdownReason
 
 __all__ = ["CustomerRecord", "AdRecord", "KeywordRecord", "DetectionRecord"]
@@ -38,28 +37,6 @@ class CustomerRecord:
     first_ad_time: float | None
     n_ads: int
     n_keywords: int
-
-    @classmethod
-    def from_advertiser(cls, advertiser: Advertiser) -> "CustomerRecord":
-        """Snapshot an advertiser entity into a record."""
-        return cls(
-            advertiser_id=advertiser.advertiser_id,
-            created_time=advertiser.created_time,
-            country=advertiser.country,
-            language=advertiser.language,
-            currency=advertiser.currency,
-            kind=advertiser.kind.value,
-            labeled_fraud=advertiser.labeled_fraud,
-            shutdown_time=advertiser.shutdown_time,
-            shutdown_reason=(
-                advertiser.shutdown_reason.value
-                if advertiser.shutdown_reason is not None
-                else None
-            ),
-            first_ad_time=advertiser.first_ad_time,
-            n_ads=sum(1 for _ in advertiser.all_ads()),
-            n_keywords=sum(1 for _ in advertiser.all_bids()),
-        )
 
     def to_dict(self) -> dict:
         return asdict(self)

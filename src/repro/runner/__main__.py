@@ -122,8 +122,8 @@ def _main_run(argv: list[str]) -> int:
             return 2
         atomic_write_text(args.report, report + "\n")
         print(f"wrote {args.report}")
-        # Machine-readable twin in the run directory, where the run
-        # registry and `repro.obs diff` look for it.
+        # Machine-readable twin in the run directory, where
+        # `repro.obs diff` looks for it.
         validation_json = args.checkpoint_dir / "validation.json"
         atomic_write_text(
             validation_json, json.dumps(checks_to_json(checks), indent=2) + "\n"

@@ -127,11 +127,6 @@ class FaultPlan:
         """The shim carrying this plan's IO faults (``None`` if none)."""
         return self._io_shim
 
-    @property
-    def io_fired(self) -> list:
-        """IO faults that have fired, as ``(fault, path)`` pairs."""
-        return list(self._io_shim.fired) if self._io_shim else []
-
     @classmethod
     def crash_at(cls, site: str, day: int | None = None) -> "FaultPlan":
         """Shorthand for a single process-death fault."""

@@ -1,6 +1,6 @@
 """The run-directory manifest.
 
-One JSON document (``MANIFEST.json``, format ``repro-run/2``) is the
+One JSON document (``MANIFEST.json``, format ``repro-run/3``) is the
 single source of truth for what a run directory durably contains: the
 configuration the run was started with (embedded in full, plus its
 hash), the package version, a SHA-256 checksum for every artifact, the
@@ -10,7 +10,9 @@ always rewritten atomically *after* the artifacts it references are
 durable, so resume can trust exactly what it lists and nothing else.
 
 :meth:`RunManifest.load` refuses any other format -- a run directory
-written under ``repro-run/1`` is re-run, not read (runs are
+written under an older one (``repro-run/2`` pickled the whole detection
+pipeline into ``phase1.pkl``; ``/3`` holds only the account summaries
+and detection records) is re-run, not read (runs are
 seed-deterministic, so the re-run reproduces its output) -- and any
 manifest naming a file outside the canonical layout: every chunk entry
 must be ``chunks/`` plus the :func:`~repro.runner.chunkstore.chunk_file_name`
@@ -46,13 +48,13 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "MANIFEST.json"
-MANIFEST_FORMAT = "repro-run/2"
+MANIFEST_FORMAT = "repro-run/3"
 
 #: Phases a run directory can durably be in.  ``phase1`` means the
 #: population is still being generated (nothing durable yet beyond the
 #: manifest itself); ``phase3`` means population + market snapshots are
 #: durable and auction chunks are accumulating; ``complete`` means the
-#: run finished.
+#: run finished, and resuming it only reloads (it writes nothing).
 PHASES = ("phase1", "phase3", "complete")
 
 

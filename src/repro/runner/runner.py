@@ -4,18 +4,21 @@ Run directory layout::
 
     <run_dir>/
       MANIFEST.json             config hash, checksums, chunk index, RNG states
-      phase1.pkl                population summaries + detection pipeline state
+      phase1.pkl                account summaries + detection records
       market.pkl                the Phase-2 MarketIndex snapshot
       chunks/
         chunk-00000-00007.npc   impression rows for days [0, 7), append-only
         chunk-00007-00014.npc   ...
 
-Chunks are columnar bundles (:mod:`repro.records.columnar`) named by
-:mod:`repro.runner.chunkstore` after their day range.  The manifest is
-format ``repro-run/2`` (:mod:`repro.runner.manifest`); resume refuses
-a directory written under any other format -- re-run it instead, the
-output is seed-deterministic -- and a manifest naming any file outside
-this layout, with :class:`~repro.errors.SimulationError`.
+The two snapshots hold only what resume reads back
+(:func:`snapshot_bytes`), so their bytes do not depend on the process
+that wrote them.  Chunks are columnar bundles
+(:mod:`repro.records.columnar`) named by :mod:`repro.runner.chunkstore`
+after their day range.  The manifest is format ``repro-run/3``
+(:mod:`repro.runner.manifest`); resume refuses a directory written
+under any other format -- re-run it instead, the output is
+seed-deterministic -- and a manifest naming any file outside this
+layout, with :class:`~repro.errors.SimulationError`.
 
 Crash-consistency protocol: every artifact lands via tmp-file + fsync +
 ``os.replace`` (:mod:`repro.records.atomic`), and ``MANIFEST.json`` is
@@ -37,6 +40,10 @@ resume path is written for:
   refuses with :class:`~repro.errors.SimulationError`;
 * a manifest whose config hash does not match the resuming
   configuration refuses with :class:`~repro.errors.SimulationError`.
+
+A manifest already in phase ``complete`` reloads read-only: snapshots
+and chunks are checksum-verified and loaded, and nothing in the run
+directory is written.
 
 Because every stochastic draw comes from the five named RNG streams and
 their ``bit_generator`` states are serialized at each checkpoint, an
@@ -65,9 +72,10 @@ from ..records.atomic import (
     sha256_file,
 )
 from ..records.impressions import ImpressionBuilder
+from ..records.schemas import DetectionRecord
 from ..simulator.engine import SimulationEngine
 from ..simulator.market import MarketIndex
-from ..simulator.results import SimulationResult
+from ..simulator.results import AccountSummary, SimulationResult
 from .chunkstore import CHUNK_DIR, chunk_file_name, chunk_to_bytes, load_chunk
 from .faults import FaultPlan
 from .manifest import MANIFEST_NAME, ChunkEntry, RunManifest, config_sha256
@@ -78,6 +86,7 @@ __all__ = [
     "MARKET_NAME",
     "TELEMETRY_NAME",
     "DAYLEDGER_NAME",
+    "snapshot_bytes",
 ]
 
 PHASE1_NAME = "phase1.pkl"
@@ -92,6 +101,25 @@ _IO_DEGRADED = obs.counter("io.degraded")
 _log = obs.get_logger("runner")
 
 
+def snapshot_bytes(
+    summaries: list[AccountSummary],
+    records: list[DetectionRecord],
+    market: MarketIndex,
+) -> tuple[bytes, bytes]:
+    """The ``phase1.pkl`` and ``market.pkl`` bytes, in that order.
+
+    They hold exactly what resume reads back: the account summaries,
+    the detection records and the Phase-2 market.  None of it holds a
+    ``set``, whose pickled order would follow the string-hash seed, so
+    the bytes are the same under any ``PYTHONHASHSEED``.
+    """
+    phase1 = pickle.dumps(
+        {"summaries": summaries, "records": records},
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    return phase1, pickle.dumps(market, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 class CheckpointRunner:
     """Runs a simulation with durable checkpoints in a run directory."""
 
@@ -101,26 +129,20 @@ class CheckpointRunner:
         run_dir: str | Path,
         checkpoint_every: int = 7,
         faults: FaultPlan | None = None,
-        telemetry: bool = True,
-        ledger: bool = True,
-        progress: bool = True,
-        resources: bool = True,
     ) -> None:
         if checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
         self.config = config
         self.run_dir = Path(run_dir)
         self.checkpoint_every = checkpoint_every
-        self.telemetry = telemetry
-        self.ledger = ledger
-        self.progress = progress
-        self.resources = resources
         self.manifest_path = self.run_dir / MANIFEST_NAME
         self.chunk_dir = self.run_dir / CHUNK_DIR
         self.phase1_path = self.run_dir / PHASE1_NAME
         self.market_path = self.run_dir / MARKET_NAME
         self.ledger_path = self.run_dir / DAYLEDGER_NAME
         self._faults = faults if faults is not None else FaultPlan()
+        # The observers of the run in progress; :meth:`run` attaches a
+        # fresh set to every run that writes.
         self._sink: JsonlSink | None = None
         self._ledger: DayLedger | None = None
         self._progress: ProgressSink | None = None
@@ -139,24 +161,22 @@ class CheckpointRunner:
         (the directory must not contain one), or ``"auto"`` (resume if
         a manifest exists, else start fresh).
 
-        With ``telemetry`` enabled (the default) a
-        :class:`~repro.obs.sink.JsonlSink` writes ``telemetry.jsonl``
-        into the run directory, flushed atomically at every durable
-        checkpoint -- so the telemetry on disk never describes more
-        than the manifest guarantees.  A crash loses only the events
-        buffered since the last checkpoint, exactly as it loses the
-        impression rows since then; resume appends to the same file.
+        A run whose manifest is already ``complete`` reloads read-only:
+        the config hash, snapshots and chunks are verified and loaded,
+        and nothing is attached, so no file in the directory changes.
 
-        With ``progress`` enabled (the default) a
-        :class:`~repro.obs.progress.ProgressSink` additionally rewrites
-        the small ``progress.json`` sidecar on every heartbeat and
-        checkpoint, *independent* of the checkpoint-gated telemetry
-        flush, so watchers see live state between checkpoints.  With
-        ``resources`` enabled (the default) a background
-        :class:`~repro.obs.resources.ResourceSampler` records the run's
-        RSS/CPU/GC envelope per phase and publishes it into the
-        telemetry on completion.  Both are pure observers: neither
-        touches the named RNG streams, so the run stays bit-identical.
+        Every other run attaches four observers, none of which touches
+        the named RNG streams: a :class:`~repro.obs.sink.JsonlSink`
+        (``telemetry.jsonl``), a :class:`~repro.obs.progress.ProgressSink`
+        (the ``progress.json`` sidecar, rewritten on every heartbeat and
+        checkpoint so watchers see live state), a background
+        :class:`~repro.obs.resources.ResourceSampler` (the RSS/CPU/GC
+        envelope per phase) and the :class:`~repro.obs.timeseries.DayLedger`
+        (``dayledger.jsonl``).  Telemetry and ledger are flushed
+        atomically only at durable checkpoints, so neither describes
+        more than the manifest guarantees: a crash loses only what was
+        buffered since, exactly as it loses the impression rows since
+        then, and resume continues the same files.
         """
         has_manifest = self.manifest_path.exists()
         if resume is True and not has_manifest:
@@ -168,7 +188,11 @@ class CheckpointRunner:
                 f"{self.run_dir}: already contains a run; resume it or "
                 f"choose a fresh directory"
             )
-        resuming = has_manifest
+        manifest = RunManifest.load(self.manifest_path) if has_manifest else None
+        if manifest is not None:
+            self._check_compatible(manifest)
+            if manifest.phase == "complete":
+                return self._run(manifest)
 
         self.chunk_dir.mkdir(parents=True, exist_ok=True)
         # Install the fault plan's IO shim (if any) for the duration of
@@ -177,39 +201,25 @@ class CheckpointRunner:
         # plan can make the disk lie about any artifact.
         shim = self._faults.io_shim()
         prior_shim = set_io_shim(shim) if shim is not None else None
-        if self.telemetry:
-            self._sink = JsonlSink(self.run_dir / TELEMETRY_NAME)
-            obs.add_sink(self._sink)
-        if self.progress:
-            self._progress = ProgressSink(self.run_dir, days=self.config.days)
-            obs.add_sink(self._progress)
-        if self.resources:
-            self._sampler = ResourceSampler()
-            self._sampler.start()
-        prior_ledger: DayLedger | None = None
-        if self.ledger:
-            # The ledger, like the telemetry sink, is flushed only when
-            # the manifest makes its content durable; a crash loses at
-            # most the days since the last checkpoint, which resume
-            # re-simulates identically.
-            self._ledger = DayLedger(days=self.config.days)
-            prior_ledger = obs.set_dayledger(self._ledger)
+        self._sink = JsonlSink(self.run_dir / TELEMETRY_NAME)
+        obs.add_sink(self._sink)
+        self._progress = ProgressSink(self.run_dir, days=self.config.days)
+        obs.add_sink(self._progress)
+        self._sampler = ResourceSampler()
+        self._sampler.start()
+        self._ledger = DayLedger(days=self.config.days)
+        prior_ledger = obs.set_dayledger(self._ledger)
         completed = False
         try:
-            result = self._run(resuming)
-            if self._sampler is not None:
-                # Stop before the final flush so the envelope lands in
-                # this run's telemetry (and sidecar counters settle).
-                obs.publish_resources(self._sampler.stop())
-            if self._sink is not None or self._progress is not None:
-                obs.event(
-                    "runner.complete",
-                    days=self.config.days,
-                    rows=len(result.impressions),
-                )
-            if self._sink is not None:
-                obs.publish_metrics()
-                self._flush_telemetry()
+            result = self._run(manifest)
+            # Stop before the final flush so the envelope lands in this
+            # run's telemetry (and sidecar counters settle).
+            obs.publish_resources(self._sampler.stop())
+            obs.event(
+                "runner.complete", days=self.config.days, rows=len(result.impressions)
+            )
+            obs.publish_metrics()
+            self._flush_telemetry()
             completed = True
             return result
         finally:
@@ -219,21 +229,13 @@ class CheckpointRunner:
             # flushed, mirroring the run state itself.  The sidecar, by
             # contrast, *does* record the interruption -- that is its
             # job -- and the sampler thread always stops.
-            if self._sampler is not None:
-                if self._sampler.running:
-                    self._sampler.stop()
-                self._sampler = None
-            if self._progress is not None:
-                if not completed:
-                    self._progress.mark("interrupted")
-                obs.remove_sink(self._progress)
-                self._progress = None
-            if self._sink is not None:
-                obs.remove_sink(self._sink)
-                self._sink = None
-            if self._ledger is not None:
-                obs.set_dayledger(prior_ledger)
-                self._ledger = None
+            if self._sampler.running:
+                self._sampler.stop()
+            if not completed:
+                self._progress.mark("interrupted")
+            obs.remove_sink(self._progress)
+            obs.remove_sink(self._sink)
+            obs.set_dayledger(prior_ledger)
             if shim is not None:
                 set_io_shim(prior_shim)
 
@@ -269,8 +271,6 @@ class CheckpointRunner:
         the last ledger content that actually landed (atomic writes
         leave old-or-new, never a hybrid).
         """
-        if self._ledger is None:
-            return
         try:
             text = self._ledger.flush(self.ledger_path)
         except OSError as exc:
@@ -278,27 +278,24 @@ class CheckpointRunner:
             return
         manifest.artifacts[DAYLEDGER_NAME] = sha256_bytes(text.encode("utf-8"))
 
-    def _set_resource_phase(self, name: str | None) -> None:
-        """Point the resource sampler's phase attribution, when active."""
-        if self._sampler is not None:
-            self._sampler.set_phase(name)
-
     def _flush_telemetry(self) -> None:
         """Flush the telemetry sink, degrading on persistent failure."""
-        if self._sink is None:
-            return
         try:
             self._sink.flush()
         except OSError as exc:
             self._degrade(TELEMETRY_NAME, exc)
 
-    def _run(self, resuming: bool) -> SimulationResult:
-        """The checkpointed run body (telemetry sink already attached)."""
+    def _run(self, manifest: RunManifest | None) -> SimulationResult:
+        """The checkpointed run body.
+
+        ``manifest`` is the loaded manifest of the run being resumed,
+        or ``None`` for a fresh run.  Only a ``complete`` one may run
+        without the observers :meth:`run` attaches: it writes nothing.
+        """
         engine = SimulationEngine(self.config)
+        resuming = manifest is not None
         with obs.span("runner.run", resuming=resuming, days=self.config.days):
-            if resuming:
-                manifest = RunManifest.load(self.manifest_path)
-                self._check_compatible(manifest)
+            if manifest is not None:
                 manifest.checkpoint_every = self.checkpoint_every
                 obs.event(
                     "runner.resume",
@@ -317,32 +314,32 @@ class CheckpointRunner:
                 )
 
             if manifest.phase == "phase1":
-                self._set_resource_phase("phase1")
+                self._sampler.set_phase("phase1")
                 with obs.maybe_profile("phase1", self.run_dir):
-                    summaries, market = self._run_phase1(engine, manifest)
+                    summaries, records, market = self._run_phase1(engine, manifest)
             else:
-                summaries, market = self._load_phase1(engine, manifest)
+                summaries, records, market = self._load_phase1(manifest)
 
             chunks = self._validate_chunks(manifest)
-            if resuming and manifest.phase != "phase1" and self._ledger is not None:
-                # Reload the durable ledger prefix *after* chunk
-                # validation so a discarded tail's days (reflected in
-                # ``next_day``) are dropped and re-accumulated.
-                self._ledger.preload(
-                    self.ledger_path, market_before=manifest.next_day
-                )
             if manifest.phase != "complete":
+                if resuming:
+                    # Reload the durable ledger prefix *after* chunk
+                    # validation so a discarded tail's days (reflected
+                    # in ``next_day``) are dropped and re-accumulated.
+                    self._ledger.preload(
+                        self.ledger_path, market_before=manifest.next_day
+                    )
                 states = manifest.resume_rng()
                 if states is None:
                     raise SimulationError(
                         f"{self.manifest_path}: no RNG snapshot to resume from"
                     )
                 engine.set_rng_state(states)
-                self._set_resource_phase("phase3")
+                self._sampler.set_phase("phase3")
                 with obs.maybe_profile("phase3", self.run_dir):
                     chunks += self._run_phase3(engine, market, manifest)
                 self._faults.fire("finalize", runner=self)
-                self._set_resource_phase(None)
+                self._sampler.set_phase(None)
                 self._flush_ledger(manifest)
                 manifest.phase = "complete"
                 manifest.save(self.manifest_path)
@@ -355,7 +352,7 @@ class CheckpointRunner:
                 config=self.config,
                 accounts=summaries,
                 impressions=builder.build(),
-                detections=list(engine.pipeline.records),
+                detections=list(records),
                 policy_changes=list(engine.pipeline.policy.changes),
             )
 
@@ -384,7 +381,7 @@ class CheckpointRunner:
 
     def _run_phase1(
         self, engine: SimulationEngine, manifest: RunManifest
-    ) -> tuple[list, MarketIndex]:
+    ) -> tuple[list[AccountSummary], list[DetectionRecord], MarketIndex]:
         def on_day(day: int) -> None:
             self._faults.fire("phase1:day", day=day, runner=self)
 
@@ -393,16 +390,8 @@ class CheckpointRunner:
             market = MarketIndex(accounts)
             market.country_volume_check()
 
-        phase1_blob = pickle.dumps(
-            {
-                "summaries": summaries,
-                "pipeline": engine.pipeline,
-                "ids": engine._ids,
-                "next_advertiser_id": engine._next_advertiser_id,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        market_blob = pickle.dumps(market, protocol=pickle.HIGHEST_PROTOCOL)
+        records = engine.pipeline.records
+        phase1_blob, market_blob = snapshot_bytes(summaries, records, market)
         atomic_write_bytes(self.phase1_path, phase1_blob)
         atomic_write_bytes(self.market_path, market_blob)
         manifest.artifacts = {
@@ -417,11 +406,11 @@ class CheckpointRunner:
         self._flush_ledger(manifest)
         manifest.save(self.manifest_path)
         self._faults.fire("phase1:end", runner=self)
-        return summaries, market
+        return summaries, records, market
 
     def _load_phase1(
-        self, engine: SimulationEngine, manifest: RunManifest
-    ) -> tuple[list, MarketIndex]:
+        self, manifest: RunManifest
+    ) -> tuple[list[AccountSummary], list[DetectionRecord], MarketIndex]:
         for name, path in ((PHASE1_NAME, self.phase1_path), (MARKET_NAME, self.market_path)):
             recorded = manifest.artifacts.get(name)
             if recorded is None:
@@ -434,11 +423,8 @@ class CheckpointRunner:
                     f"run directory is damaged beyond the recoverable tail"
                 )
         state = pickle.loads(self.phase1_path.read_bytes())
-        engine.pipeline = state["pipeline"]
-        engine._ids = state["ids"]
-        engine._next_advertiser_id = state["next_advertiser_id"]
         market = pickle.loads(self.market_path.read_bytes())
-        return state["summaries"], market
+        return state["summaries"], state["records"], market
 
     # ------------------------------------------------------------------
     # Phase 3: chunked auctions
@@ -482,6 +468,10 @@ class CheckpointRunner:
                 f"{path}: chunk missing or fails its checksum and is not "
                 f"a discardable tail; refusing to resume"
             )
+        if manifest.phase == "complete":
+            # A finished run reloads read-only; a stray there is for
+            # ``verify`` to report and the doctor to quarantine.
+            return loaded
         # Partial writes from a crash (files the manifest never saw).
         keep = {(self.run_dir / entry.file).name for entry in manifest.chunks}
         for stray in self.chunk_dir.iterdir():
@@ -551,6 +541,5 @@ class CheckpointRunner:
             file=name,
         )
         # The manifest just became durable; make the telemetry match it.
-        if self._sink is not None:
-            obs.publish_metrics()
-            self._flush_telemetry()
+        obs.publish_metrics()
+        self._flush_telemetry()

@@ -1,6 +1,6 @@
 """Two-year marketplace simulation."""
 
-from .cache import cached_simulation, clear_cache, seed_cache, set_cache_capacity
+from .cache import cached_simulation, clear_cache, seed_cache
 from .engine import RNG_STREAMS, SimulationEngine, run_simulation
 from .market import MarketIndex
 from .querygen import CellSampler, MatchTable, QueryBatch, QuerySampler, match_table
@@ -14,7 +14,6 @@ __all__ = [
     "cached_simulation",
     "clear_cache",
     "seed_cache",
-    "set_cache_capacity",
     "MarketIndex",
     "CellSampler",
     "MatchTable",

@@ -5,38 +5,31 @@ section is computed from the same underlying logs.  The cache keys on
 the full configuration, so ablations (which modify the config) get
 their own runs.
 
-The cache is a bounded LRU: full-scale results hold multi-million-row
-impression tables, so an unbounded dict would grow without limit across
-a long ablation sweep.  Capacity defaults to
-:data:`DEFAULT_CACHE_CAPACITY`, can be set via the
-``REPRO_SIM_CACHE_SIZE`` environment variable (read lazily, at first
-cache use, so a malformed value surfaces as a :class:`ConfigError` from
-the operation that needed it rather than an import-time crash), and at
-runtime via :func:`set_cache_capacity`.  Least-recently-*used* entries
-are evicted (a cache hit refreshes recency).
+The cache is an LRU bounded at :data:`CACHE_CAPACITY` results:
+full-scale results hold multi-million-row impression tables, so an
+unbounded dict would grow without limit across a long ablation sweep.
+Least-recently-*used* entries are evicted (a cache hit refreshes
+recency).
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 from .. import obs
 from ..config import SimulationConfig
-from ..errors import ConfigError
 from .engine import run_simulation
 from .results import SimulationResult
 
 __all__ = [
-    "DEFAULT_CACHE_CAPACITY",
+    "CACHE_CAPACITY",
     "cached_simulation",
     "clear_cache",
     "seed_cache",
-    "set_cache_capacity",
 ]
 
-#: Default number of simulation results kept alive.
-DEFAULT_CACHE_CAPACITY = 8
+#: Number of simulation results kept alive.
+CACHE_CAPACITY = 8
 
 _CACHE: OrderedDict[SimulationConfig, SimulationResult] = OrderedDict()
 
@@ -47,48 +40,10 @@ _MISSES = obs.counter("simcache.misses")
 _EVICTIONS = obs.counter("simcache.evictions")
 
 
-def _initial_capacity() -> int:
-    raw = os.environ.get("REPRO_SIM_CACHE_SIZE")
-    if raw is None:
-        return DEFAULT_CACHE_CAPACITY
-    try:
-        capacity = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_SIM_CACHE_SIZE must be an integer, got {raw!r}"
-        ) from None
-    if capacity < 1:
-        raise ConfigError("REPRO_SIM_CACHE_SIZE must be >= 1")
-    return capacity
-
-
-# None means "not resolved yet": the environment variable is consulted
-# on first use, not at import time, so merely importing this module (or
-# anything that transitively does) cannot crash on a malformed value.
-_capacity: int | None = None
-
-
-def _current_capacity() -> int:
-    global _capacity
-    if _capacity is None:
-        _capacity = _initial_capacity()
-    return _capacity
-
-
 def _evict() -> None:
-    capacity = _current_capacity()
-    while len(_CACHE) > capacity:
+    while len(_CACHE) > CACHE_CAPACITY:
         _CACHE.popitem(last=False)
         _EVICTIONS.inc()
-
-
-def set_cache_capacity(capacity: int) -> None:
-    """Change the cache bound; evicts oldest entries if shrinking."""
-    global _capacity
-    if capacity < 1:
-        raise ConfigError("cache capacity must be >= 1")
-    _capacity = capacity
-    _evict()
 
 
 def cached_simulation(config: SimulationConfig) -> SimulationResult:

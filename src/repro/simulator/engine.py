@@ -132,10 +132,6 @@ class SimulationEngine:
         )
         self._ids = IdAllocator()
         self._next_advertiser_id = 0
-        #: Columnar whole-horizon record of the Phase-1 draws pass;
-        #: populated by :meth:`generate_population` (None until then,
-        #: and always None on the oracle paths).
-        self.population_plan = None
 
     # ------------------------------------------------------------------
     # RNG stream state (checkpoint/resume support)
@@ -430,28 +426,26 @@ class SimulationEngine:
         """Phase 1 as two whole-horizon passes: draws, then build.
 
         The **draws** pass sweeps the horizon once, performing every
-        RNG draw in the canonical order and recording per-account
-        outcomes into a columnar
-        :class:`~repro.behavior.horizon.PopulationPlan` (exposed as
-        :attr:`population_plan`).  The **build** pass -- draw-free by
-        construction -- trims each materialized account to its recorded
-        activity end and assembles the summaries.  Day-boundary
-        side-effects (ledger rows, heartbeats, ``on_day_complete``)
-        fire from the draws pass, so the checkpoint runner's fault
-        sites and progress reporting are unchanged.
+        RNG draw in the canonical order and recording each account's
+        activity end and whether it materialized.  The **build** pass
+        -- draw-free by construction -- trims each materialized account
+        to its recorded activity end and assembles the summaries.
+        Day-boundary side-effects (ledger rows, heartbeats,
+        ``on_day_complete``) fire from the draws pass, so the
+        checkpoint runner's fault sites and progress reporting are
+        unchanged.
 
         ``materializer`` replaces :meth:`_plan_account`'s default
         batched materializer; the scalar oracle passes
         :func:`~repro.behavior.factory.materialize_account`.
         """
-        from ..behavior.horizon import PlanRecorder
-
         config = self.config
         rng = self._rng_population
         schedule = FraudShareSchedule(config.population, config.days, rng)
         accounts: list[MaterializedAccount] = []
         profiles: list[AdvertiserProfile] = []
-        recorder = PlanRecorder(config.days)
+        ends: list[float] = []
+        built: list[bool] = []
         mode = "horizon" if materializer is None else "scalar"
         heartbeat = obs.heartbeat_every()
         tracer = obs.tracer()
@@ -482,14 +476,8 @@ class SimulationEngine:
                             )
                             accounts.append(account)
                             profiles.append(profile)
-                            recorder.record(
-                                day,
-                                created_time,
-                                activity_end,
-                                profile.is_fraud,
-                                materialized,
-                                account.advertiser.shutdown_time,
-                            )
+                            ends.append(activity_end)
+                            built.append(materialized)
                         if heartbeat and (day + 1) % heartbeat == 0:
                             elapsed = tracer.now() - phase_span.start
                             throughput = _day_throughput(
@@ -506,18 +494,14 @@ class SimulationEngine:
                             )
                         if on_day_complete is not None:
                             on_day_complete(day)
-                plan = recorder.build()
-                self.population_plan = plan
                 with obs.span("phase1.build", accounts=len(accounts)):
-                    ends = plan.activity_end
-                    built = plan.materialized
                     summaries = [
                         self._finish_account(
                             profiles[row],
                             accounts[row],
                             row,
                             float(ends[row]),
-                            bool(built[row]),
+                            built[row],
                         )
                         for row in range(len(accounts))
                     ]
@@ -536,9 +520,7 @@ class SimulationEngine:
         (:meth:`_generate_population_horizon`) with the batched
         materializer; the output -- entities, summaries and
         post-generation RNG stream states -- is bit-identical to the
-        retained oracle, :meth:`generate_population_scalar`.  After it
-        returns, :attr:`population_plan` holds the whole-horizon
-        registration/lifetime/churn arrays.
+        retained oracle, :meth:`generate_population_scalar`.
 
         ``on_day_complete(day)``, if given, is invoked after each day's
         registrations are fully generated -- the checkpoint runner's
@@ -863,7 +845,7 @@ class SimulationEngine:
 
     # ------------------------------------------------------------------
 
-    def run(self, keep_entities: bool = False) -> SimulationResult:
+    def run(self) -> SimulationResult:
         """Run all three phases and return the bundled result."""
         with obs.span("run", seed=self.config.seed, days=self.config.days):
             accounts, summaries = self.generate_population()
@@ -878,14 +860,9 @@ class SimulationEngine:
                 impressions=builder.build(),
                 detections=list(self.pipeline.records),
                 policy_changes=list(self.pipeline.policy.changes),
-                advertisers=(
-                    [a.advertiser for a in accounts] if keep_entities else []
-                ),
             )
 
 
-def run_simulation(
-    config: SimulationConfig, keep_entities: bool = False
-) -> SimulationResult:
+def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Convenience wrapper: build an engine and run it."""
-    return SimulationEngine(config).run(keep_entities=keep_entities)
+    return SimulationEngine(config).run()

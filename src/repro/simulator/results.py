@@ -2,20 +2,18 @@
 
 :class:`AccountSummary` is the per-account analysis view (compact, no
 entity graphs); :class:`SimulationResult` bundles the three datasets
-the paper works from: customer/ad records (as account summaries plus
-optional full entities), the impression/click table, and the fraud
-detection records.
+the paper works from: customer/ad records (as account summaries), the
+impression/click table, and the fraud detection records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import SimulationConfig
 from ..detection.policy import PolicyChange
-from ..entities.advertiser import Advertiser
 from ..entities.enums import AdvertiserKind
 from ..records.impressions import ImpressionTable
 from ..records.schemas import CustomerRecord, DetectionRecord
@@ -132,9 +130,6 @@ class SimulationResult:
     impressions: ImpressionTable
     detections: list[DetectionRecord]
     policy_changes: list[PolicyChange]
-    #: Full entity graphs, only retained when
-    #: ``run_simulation(keep_entities=True)``.
-    advertisers: list[Advertiser] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self._by_id = {a.advertiser_id: a for a in self.accounts}
@@ -146,10 +141,6 @@ class SimulationResult:
     def fraud_accounts(self) -> list[AccountSummary]:
         """Accounts the platform labeled fraudulent (the paper's 'fraud')."""
         return [a for a in self.accounts if a.labeled_fraud]
-
-    def nonfraud_accounts(self) -> list[AccountSummary]:
-        """Active-or-never-caught accounts (the paper's 'non-fraudulent')."""
-        return [a for a in self.accounts if not a.labeled_fraud]
 
     def customer_records(self) -> list[CustomerRecord]:
         """The customer dataset for every account."""

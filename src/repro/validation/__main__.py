@@ -6,7 +6,8 @@
 ``--run-dir`` validates an existing *completed* checkpoint-runner run
 instead of simulating fresh: the configuration is rebuilt from the
 manifest's embedded copy (hash-verified), and the result is
-reconstructed from the durable chunks without re-simulating a day.
+reconstructed from the durable chunks without re-simulating a day or
+writing to the run directory.
 """
 
 from __future__ import annotations
@@ -104,13 +105,10 @@ def _validate_run_dir(args: argparse.Namespace) -> int:
                 args.run_dir, manifest.phase,
             )
             return 2
-        config = manifest.simulation_config()
-        # A completed run resumes without simulating a day: snapshots
-        # and chunks are checksum-verified and reloaded.  Telemetry and
-        # ledger sinks stay off -- validation must not mutate the run.
-        runner = CheckpointRunner(
-            config, args.run_dir, telemetry=False, ledger=False
-        )
+        # A completed run reloads read-only, without simulating a day:
+        # snapshots and chunks are checksum-verified and loaded, and no
+        # file in the run directory is written.
+        runner = CheckpointRunner(manifest.simulation_config(), args.run_dir)
         result = runner.run(resume=True)
         checks = run_validation(result)
     except ReproError as exc:

@@ -188,7 +188,7 @@ def render_report(checks: list[CheckResult]) -> str:
 
 
 def checks_to_json(checks: list[CheckResult]) -> dict:
-    """Machine-readable validation outcome (``--json`` / run registry).
+    """Machine-readable validation outcome (``--json`` / ``obs diff``).
 
     NaN measurements serialize as ``null`` so the payload stays strict
     JSON (a NaN measure is always a MISS, so no information is lost).

@@ -146,8 +146,9 @@ class TestReportCli:
         assert "4 events" in capsys.readouterr().out
 
     def test_missing_telemetry_notices_and_exits_0(self, tmp_path, capsys):
-        # Absent telemetry is a normal run state (telemetry=False), not
-        # an error: a clear notice on stdout, exit 0, no traceback.
+        # Absent telemetry is a normal run state (a dead telemetry
+        # device), not an error: a clear notice on stdout, exit 0, no
+        # traceback.
         assert obs_main(["report", str(tmp_path / "void")]) == 0
         out = capsys.readouterr().out
         assert "no telemetry" in out

@@ -20,6 +20,7 @@ import pytest
 
 import repro.records.atomic as atomic
 from repro import run_simulation, small_config
+from repro.obs.progress import PROGRESS_NAME
 from repro.obs.sink import TELEMETRY_NAME
 from repro.runner import (
     IO_BITROT,
@@ -142,7 +143,7 @@ def assert_nothing_hides_from_verify(run_dir, allowed_damage):
     accounted = (
         set(manifest.artifacts)
         | {entry.file for entry in manifest.chunks}
-        | {MANIFEST_NAME, TELEMETRY_NAME, "validation.json"}
+        | {MANIFEST_NAME, TELEMETRY_NAME, PROGRESS_NAME, "validation.json"}
     )
     for path in run_dir.rglob("*"):
         relative = path.relative_to(run_dir).as_posix()

@@ -103,18 +103,6 @@ def test_ledger_rows_cover_every_day(runner_config, ledger_reference):
     assert all("impressions" in row for row in rows)
 
 
-def test_unledgered_run_writes_no_ledger_and_same_results(
-    runner_config, ledger_reference, tmp_path
-):
-    """``ledger=False`` is a pure opt-out: no file, identical output."""
-    result = CheckpointRunner(
-        runner_config, tmp_path, checkpoint_every=CHECKPOINT_EVERY,
-        ledger=False,
-    ).run(resume=False)
-    assert not (tmp_path / DAYLEDGER_NAME).exists()
-    assert_results_identical(ledger_reference["result"], result)
-
-
 def test_resume_of_completed_run_preserves_ledger(
     runner_config, ledger_reference, tmp_path
 ):

@@ -8,10 +8,15 @@ RNG states regenerates the exact artifact bytes the manifest vouches.
 
 from __future__ import annotations
 
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import small_config
 from repro.errors import SimulationError
 from repro.obs.__main__ import main as obs_main
@@ -217,3 +222,36 @@ class TestRepair:
         _flip_byte(_chunk_paths(tmp_path)[0])
         with pytest.raises(SimulationError, match="resume"):
             repair_run(tmp_path)
+
+
+def _runner_cli(hash_seed: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -m repro.runner`` in a fresh process with this hash seed."""
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = hash_seed
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "repro.runner", *argv],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=env,
+    )
+
+
+def test_repair_in_another_process_restores_snapshots(tmp_path):
+    """The snapshots' bytes do not depend on the writer's hash seed, so
+    a repair under another ``PYTHONHASHSEED`` rebuilds them exactly."""
+    run_dir = tmp_path / "run"
+    written = _runner_cli(
+        "1", "run", "--checkpoint-dir", str(run_dir), "--small", "--days", "20"
+    )
+    assert written.returncode == 0, written.stderr[-2000:]
+    pristine = {
+        name: (run_dir / name).read_bytes() for name in (PHASE1_NAME, MARKET_NAME)
+    }
+    for name in pristine:
+        _flip_byte(run_dir / name)
+    repaired = _runner_cli("2", "doctor", str(run_dir), "--repair")
+    assert repaired.returncode == 0, (repaired.stdout + repaired.stderr)[-2000:]
+    for name, data in pristine.items():
+        assert (run_dir / name).read_bytes() == data, name

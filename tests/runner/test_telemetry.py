@@ -52,10 +52,24 @@ class TestRunnerTelemetry:
         rows = snapshots[-1]["data"]["counters"]["auction.rows_emitted"]
         assert rows == len(result.impressions)
 
-    def test_telemetry_disabled_writes_nothing(self, config, tmp_path):
-        runner = CheckpointRunner(config, tmp_path, telemetry=False)
-        runner.run()
-        assert not (tmp_path / TELEMETRY_NAME).exists()
+    def test_reloading_a_completed_run_writes_nothing(self, config, tmp_path):
+        first = CheckpointRunner(config, tmp_path, checkpoint_every=10).run()
+
+        def tree():
+            return {
+                path.relative_to(tmp_path): path.read_bytes()
+                for path in sorted(tmp_path.rglob("*"))
+                if path.is_file()
+            }
+
+        before = tree()
+        assert (tmp_path / TELEMETRY_NAME).exists()
+        again = CheckpointRunner(config, tmp_path, checkpoint_every=10).run(
+            resume=True
+        )
+        assert tree() == before
+        assert len(again.impressions) == len(first.impressions)
+        assert again.detections == first.detections
 
     def test_crash_leaves_parseable_file_with_fault_event(self, config, tmp_path):
         plan = FaultPlan.crash_at("phase3:day", day=20)

@@ -6,14 +6,8 @@ import weakref
 import pytest
 
 from repro import run_simulation, small_config
-from repro.errors import ConfigError
-from repro.simulator.cache import (
-    DEFAULT_CACHE_CAPACITY,
-    cached_simulation,
-    clear_cache,
-    seed_cache,
-    set_cache_capacity,
-)
+from repro.simulator import cache
+from repro.simulator.cache import cached_simulation, clear_cache, seed_cache
 
 
 class TestCache:
@@ -42,17 +36,16 @@ class TestCache:
 
 
 @pytest.fixture()
-def bounded_cache():
-    """Isolate the LRU bound; restore the default afterwards."""
+def bounded_cache(monkeypatch):
+    """Isolate the LRU at a bound of 2; empty it before and after."""
+    monkeypatch.setattr(cache, "CACHE_CAPACITY", 2)
     clear_cache()
     yield
     clear_cache()
-    set_cache_capacity(DEFAULT_CACHE_CAPACITY)
 
 
 class TestBoundedLru:
     def test_eviction_actually_frees_entries(self, bounded_cache):
-        set_cache_capacity(2)
         configs = [small_config(seed=200 + i, days=20) for i in range(3)]
         first = cached_simulation(configs[0])
         probe = weakref.ref(first)
@@ -63,7 +56,6 @@ class TestBoundedLru:
         assert probe() is None, "evicted result still referenced"
 
     def test_hit_refreshes_recency(self, bounded_cache):
-        set_cache_capacity(2)
         configs = [small_config(seed=210 + i, days=20) for i in range(3)]
         oldest = cached_simulation(configs[0])
         cached_simulation(configs[1])
@@ -71,57 +63,8 @@ class TestBoundedLru:
         cached_simulation(configs[2])  # evicts seed=211, not seed=210
         assert cached_simulation(configs[0]) is oldest
 
-    def test_shrinking_capacity_evicts(self, bounded_cache):
-        set_cache_capacity(3)
-        configs = [small_config(seed=220 + i, days=20) for i in range(3)]
-        kept = [cached_simulation(c) for c in configs]
-        probe = weakref.ref(kept[0])
-        del kept
-        set_cache_capacity(1)
-        gc.collect()
-        assert probe() is None
-
     def test_seed_cache_short_circuits_simulation(self, bounded_cache):
         config = small_config(seed=230, days=20)
         result = run_simulation(config)
         seed_cache(config, result)
         assert cached_simulation(config) is result
-
-    def test_capacity_must_be_positive(self, bounded_cache):
-        with pytest.raises(ConfigError):
-            set_cache_capacity(0)
-
-    def test_env_capacity_validation(self, monkeypatch):
-        from repro.simulator import cache
-
-        monkeypatch.setenv("REPRO_SIM_CACHE_SIZE", "4")
-        assert cache._initial_capacity() == 4
-        monkeypatch.setenv("REPRO_SIM_CACHE_SIZE", "zero")
-        with pytest.raises(ConfigError):
-            cache._initial_capacity()
-        monkeypatch.setenv("REPRO_SIM_CACHE_SIZE", "0")
-        with pytest.raises(ConfigError):
-            cache._initial_capacity()
-
-    def test_malformed_env_does_not_break_import(self, monkeypatch):
-        """Regression: a bad REPRO_SIM_CACHE_SIZE used to raise at
-        import time (module-level ``_initial_capacity()`` call), so any
-        ``import repro.simulator.cache`` -- e.g. just running the test
-        suite -- crashed before reaching code that could report it.
-        The value must be validated lazily, at first cache use.
-        """
-        import importlib
-
-        from repro.simulator import cache
-
-        monkeypatch.setenv("REPRO_SIM_CACHE_SIZE", "not-a-number")
-        try:
-            module = importlib.reload(cache)  # must not raise
-            with pytest.raises(ConfigError, match="must be an integer"):
-                module.seed_cache(small_config(seed=240, days=20), object())
-            # An explicit runtime capacity overrides the bad env value.
-            module.set_cache_capacity(2)
-            module.clear_cache()
-        finally:
-            monkeypatch.delenv("REPRO_SIM_CACHE_SIZE", raising=False)
-            importlib.reload(cache)

@@ -1,16 +1,25 @@
 """Tests for the engine's per-account summaries (bid statistics etc.)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro import run_simulation, small_config
+from repro import small_config
 from repro.records.codes import MATCH_CODES
-from repro.entities.enums import MatchType
+from repro.simulator import SimulationEngine
 
 
 @pytest.fixture(scope="module")
 def result_with_entities():
-    return run_simulation(small_config(seed=55, days=40), keep_entities=True)
+    """Phase 1's entities beside the summaries built from them."""
+    config = small_config(seed=55, days=40)
+    accounts, summaries = SimulationEngine(config).generate_population()
+    return SimpleNamespace(
+        config=config,
+        accounts=summaries,
+        advertisers=[account.advertiser for account in accounts],
+    )
 
 
 class TestBidStatistics:
@@ -67,14 +76,16 @@ class TestBidStatistics:
             assert summary.n_domains == len(domains)
 
 
-class TestKeepEntities:
-    def test_entities_retained_only_on_request(self):
-        config = small_config(seed=56, days=20)
-        without = run_simulation(config)
-        assert without.advertisers == []
-
-    def test_entities_align_with_accounts(self, result_with_entities):
+class TestPopulationOutput:
+    def test_rows_align_with_entities(self, result_with_entities):
         result = result_with_entities
         assert len(result.advertisers) == len(result.accounts)
-        for advertiser, summary in zip(result.advertisers, result.accounts):
+        for row, (advertiser, summary) in enumerate(
+            zip(result.advertisers, result.accounts)
+        ):
+            assert summary.adv_row == row
             assert advertiser.advertiser_id == summary.advertiser_id
+
+    def test_summaries_in_registration_order(self, result_with_entities):
+        days = [int(summary.created_time) for summary in result_with_entities.accounts]
+        assert days == sorted(days)

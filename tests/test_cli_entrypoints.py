@@ -9,6 +9,15 @@ from repro.runner.__main__ import main as runner_main
 from repro.validation.__main__ import main as validate_main
 
 
+def _file_bytes(root):
+    """Relative path -> bytes of every file under ``root``."""
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
 class TestValidationCli:
     def test_report_prints(self, capsys):
         assert validate_main(["--small"]) == 0
@@ -120,7 +129,9 @@ class TestVerifyDoctorCli:
 
     def test_verify_healthy_exits_zero(self, run_dir, capsys):
         assert runner_main(["verify", str(run_dir)]) == 0
-        assert "HEALTHY" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "HEALTHY" in out
+        assert "note:" not in out
 
     def test_verify_damage_exits_one(self, run_dir, capsys):
         self._bitrot(run_dir)
@@ -164,9 +175,11 @@ class TestVerifyDoctorCli:
             == 0
         )
         capsys.readouterr()
+        before = _file_bytes(run_dir)
         code = validate_main(["--run-dir", str(run_dir)])
         assert code == 0
         assert "targets in band" in capsys.readouterr().out
+        assert _file_bytes(run_dir) == before, "validation --run-dir changed the run"
 
     def test_validation_run_dir_rejects_config_flags(self, run_dir, capsys):
         with pytest.raises(SystemExit):
@@ -177,7 +190,7 @@ class TestVerifyDoctorCli:
 
 
 class TestOldRunDirectoryRefused:
-    """Every CLI that reads a run directory refuses a ``repro-run/1`` one."""
+    """Every CLI that reads a run directory refuses a ``repro-run/2`` one."""
 
     ARGS = ["--small", "--seed", "5", "--days", "12", "--checkpoint-every", "5"]
 
@@ -187,7 +200,7 @@ class TestOldRunDirectoryRefused:
         assert runner_main(["run", "--checkpoint-dir", str(run_dir), *self.ARGS]) == 0
         manifest = run_dir / "MANIFEST.json"
         payload = json.loads(manifest.read_text())
-        payload["format"] = "repro-run/1"
+        payload["format"] = "repro-run/2"
         manifest.write_text(json.dumps(payload, sort_keys=True, indent=1))
         return run_dir
 
@@ -206,5 +219,5 @@ class TestOldRunDirectoryRefused:
         assert main([arg.format(run_dir=old_run_dir) for arg in argv]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1, lines
-        assert "'repro-run/1'" in lines[0] and "'repro-run/2'" in lines[0]
+        assert "'repro-run/2'" in lines[0] and "'repro-run/3'" in lines[0]
         assert "re-run" in lines[0]
