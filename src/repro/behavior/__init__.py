@@ -2,13 +2,7 @@
 
 from .batch import materialize_account_batch
 from .bidding import BidLevels, MatchMix, sample_bid_levels, sample_match_mix
-from .factory import (
-    CampaignBidStats,
-    IdAllocator,
-    MaterializedAccount,
-    Offer,
-    materialize_account,
-)
+from .factory import IdAllocator, MaterializedAccount, materialize_account
 from .fraudulent import sample_fraud_profile
 from .legitimate import sample_legitimate_profile
 from .profiles import ACTIVITY_NORM, AdvertiserProfile
@@ -22,10 +16,8 @@ __all__ = [
     "sample_bid_levels",
     "sample_legitimate_profile",
     "sample_fraud_profile",
-    "CampaignBidStats",
     "IdAllocator",
     "MaterializedAccount",
-    "Offer",
     "materialize_account",
     "materialize_account_batch",
 ]

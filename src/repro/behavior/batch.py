@@ -2,10 +2,10 @@
 
 :func:`materialize_account_batch` is a draw-for-draw replay of
 :func:`repro.behavior.factory.materialize_account` that produces
-bit-identical output -- same entities, same offers, same RNG stream
-state afterwards -- at a fraction of the cost.  The scalar factory is
-retained as the differential oracle; the equivalence rests on a small
-set of numpy facts the tests pin down:
+bit-identical output -- the same account columns and offers, the same
+RNG stream state afterwards -- at a fraction of the cost.  The scalar
+factory is retained as the differential oracle; the equivalence rests
+on a small set of numpy facts the tests pin down:
 
 * ``Generator.random(n)`` yields the same doubles as ``n`` successive
   ``Generator.random()`` calls, so a run of consecutive same-stream
@@ -24,46 +24,32 @@ Draws that cannot batch -- ones whose *presence* depends on an earlier
 draw, like the brand-avoidance re-draw or the per-entity maintenance
 schedule -- stay scalar but drop the per-call fat: cached CDF tables
 instead of ``choice``'s argument validation, tuple lookups instead of
-per-call dict construction.
-
-Entity *construction* is decoupled from the draws entirely.  The draw
-loop records plain columns (pool indices, match codes, floats); the
-objects are built afterwards in bulk.  For fraudulent accounts that
-happens immediately -- the detection pipeline's content filter reads
-the actual ad copy and keywords.  For legitimate accounts nothing
-downstream looks at entities until after :meth:`MaterializedAccount.trim`
-fixes the dormancy cutoff, so construction is deferred into ``trim``
-via :class:`_PendingEntities` and only the *surviving* entities are
-ever built -- at full scale roughly a third of all draws fall after
-the account's dormancy and are discarded unbuilt.
+per-call dict construction.  The draw loop records plain columns (pool
+indices, match codes, floats) into the
+:class:`~repro.behavior.factory.MaterializedAccount` both materializers
+fill.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 import numpy as np
 
 from .. import obs
 from ..auction.quality import MATCH_RELEVANCE
 from ..config import SimulationConfig
-from ..entities.ad import Ad
 from ..entities.advertiser import Advertiser
-from ..entities.campaign import Campaign
 from ..entities.enums import MatchType
-from ..entities.keyword import KeywordBid
 from ..taxonomy.adcopy import AdCopy, render_ad, templates_for
 from ..taxonomy.geography import country as country_info
-from ..taxonomy.keywords import evasive_keyword_tables, keyword_cdf, keyword_pool
+from ..taxonomy.keywords import evasive_keyword_tables, keyword_cdf
 from ..taxonomy.verticals import vertical as vertical_info
 from .factory import (
     FRAUD_KEYWORD_ZIPF,
     MAX_INDEXED_OFFERS_PER_CAMPAIGN,
-    CampaignBidStats,
     IdAllocator,
     MaterializedAccount,
-    Offer,
-    _assign_mod_counts,
     _creation_times,
     _destination_domains,
 )
@@ -85,191 +71,9 @@ _MATCH_RELEVANCE: tuple[float, ...] = tuple(
 # Observability handles (repro.obs): plain attribute bumps driven by
 # values the draw loop computed anyway -- no RNG stream is touched.
 # ``draws_recorded`` counts recorded draw columns (ad creations,
-# keyword picks, maintenance events); ``entities_built`` counts the
-# Ad/KeywordBid objects actually constructed, which for legitimate
-# accounts is the post-trim survivor set only.
+# keyword picks, maintenance events).
 _ACCOUNTS_MATERIALIZED = obs.counter("population.accounts_materialized")
 _DRAWS_RECORDED = obs.counter("population.draws_recorded")
-_ENTITIES_BUILT = obs.counter("population.entities_built")
-
-
-class _PendingEntities:
-    """Recorded draw columns awaiting entity construction.
-
-    ``finalize(account, end_time)`` builds the Ad/KeywordBid/Offer
-    objects whose creation time falls strictly before ``end_time``
-    (``None`` keeps everything) and attaches them exactly where the
-    scalar factory followed by ``trim(end_time)`` would leave them --
-    same objects, same order, same ``modified_count`` assignment.
-    """
-
-    __slots__ = (
-        "campaigns",
-        "ad_ids",
-        "copies",
-        "engagements",
-        "ad_campaign_ids",
-        "ad_domains",
-        "kw_idx_cols",
-        "mcode_cols",
-        "max_bid_cols",
-        "created_cols",
-        "offer_records",
-    )
-
-    def __init__(
-        self,
-        campaigns: list[Campaign],
-        ad_ids: list[int],
-        copies: list[AdCopy],
-        engagements: list[float],
-        ad_campaign_ids: list[int],
-        ad_domains: list[str],
-        kw_idx_cols: list[list[int]],
-        mcode_cols: list[list[int]],
-        max_bid_cols: list[list[float]],
-        created_cols: list[list[float]],
-        offer_records: list[tuple],
-    ) -> None:
-        self.campaigns = campaigns
-        self.ad_ids = ad_ids
-        self.copies = copies
-        self.engagements = engagements
-        self.ad_campaign_ids = ad_campaign_ids
-        self.ad_domains = ad_domains
-        self.kw_idx_cols = kw_idx_cols
-        self.mcode_cols = mcode_cols
-        self.max_bid_cols = max_bid_cols
-        self.created_cols = created_cols
-        self.offer_records = offer_records
-
-    def finalize(
-        self, account: MaterializedAccount, end_time: float | None
-    ) -> None:
-        """Build surviving entities onto ``account`` (see class doc)."""
-        campaigns = self.campaigns
-        n_campaigns = len(campaigns)
-        n_ads_full = len(self.ad_ids)
-        # Pre-trim totals drive the modification-count split exactly as
-        # the scalar path's _assign_mod_counts (which runs before trim).
-        ad_mods_full = account.ad_mod_times
-        kw_mods_full = account.kw_mod_times
-        max_bid_cols = self.max_bid_cols
-        n_bids_full = sum(len(col) for col in max_bid_cols)
-
-        if end_time is None:
-            n_ads = n_ads_full
-        else:
-            n_ads = bisect_left(account.ad_creation_times, end_time)
-        ads = Ad.bulk(
-            self.ad_ids[:n_ads],
-            self.ad_campaign_ids[:n_ads],
-            self.copies[:n_ads],
-            self.ad_domains[:n_ads],
-            self.ad_domains[:n_ads],
-            account.ad_creation_times[:n_ads],
-            self.engagements[:n_ads],
-        )
-        for index, ad in enumerate(ads):
-            campaigns[index % n_campaigns].ads.append(ad)
-
-        if ads and ad_mods_full:
-            per_ad, remainder = divmod(len(ad_mods_full), n_ads_full)
-            # Scalar assignment order is campaign-major over the
-            # *pre-trim* ad list; campaign ``c`` owned ads
-            # ``c, c+n, c+2n, ...`` so its pre-trim count is derivable.
-            offset = 0
-            for pos, campaign in enumerate(campaigns):
-                for j, ad in enumerate(campaign.ads):
-                    ad.modified_count = per_ad + (1 if offset + j < remainder else 0)
-                offset += (n_ads_full - pos + n_campaigns - 1) // n_campaigns
-
-        bids_by_campaign: list[list[KeywordBid]] = []
-        bid_stats: list[CampaignBidStats] = []
-        bid_offset = 0
-        n_bids_kept = 0
-        if n_bids_full and kw_mods_full:
-            per_bid, bid_remainder = divmod(len(kw_mods_full), n_bids_full)
-        else:
-            per_bid = bid_remainder = 0
-        assign_bid_mods = bool(n_bids_full and kw_mods_full)
-        for pos, campaign in enumerate(campaigns):
-            kw_idx_col = self.kw_idx_cols[pos]
-            mcode_col = self.mcode_cols[pos]
-            max_bid_col = max_bid_cols[pos]
-            created_col = self.created_cols[pos]
-            full = len(max_bid_col)
-            if end_time is None:
-                keep = full
-            else:
-                keep = bisect_left(created_col, end_time)
-                if keep != full:
-                    kw_idx_col = kw_idx_col[:keep]
-                    mcode_col = mcode_col[:keep]
-                    max_bid_col = max_bid_col[:keep]
-                    created_col = created_col[:keep]
-            pool = keyword_pool(campaign.vertical)
-            bids = KeywordBid.bulk(
-                [pool[i] for i in kw_idx_col],
-                [_MATCH_TYPES[c] for c in mcode_col],
-                max_bid_col,
-                created_col,
-            )
-            if assign_bid_mods:
-                for j, bid in enumerate(bids):
-                    bid.modified_count = per_bid + (
-                        1 if bid_offset + j < bid_remainder else 0
-                    )
-            campaign.bids = bids
-            bids_by_campaign.append(bids)
-            bid_stats.append(
-                CampaignBidStats(
-                    mcodes=np.asarray(mcode_col, dtype=np.int8),
-                    max_bids=np.asarray(max_bid_col, dtype=np.float64),
-                    created=np.asarray(created_col, dtype=np.float64),
-                )
-            )
-            bid_offset += full
-            n_bids_kept += keep
-
-        offers = account.offers
-        for (
-            ad_index,
-            pos,
-            bid_pos,
-            kw_index,
-            match_idx,
-            quality,
-            click_quality,
-            created,
-        ) in self.offer_records:
-            if end_time is not None and created >= end_time:
-                # Offer records are in global ad order, hence sorted by
-                # creation time: nothing later survives either.
-                break
-            campaign = campaigns[pos]
-            offers.append(
-                Offer(
-                    advertiser=account.advertiser,
-                    profile=account.profile,
-                    vertical=campaign.vertical,
-                    country=campaign.target_country,
-                    ad=ads[ad_index],
-                    bid=bids_by_campaign[pos][bid_pos],
-                    kw_index=kw_index,
-                    quality=quality,
-                    click_quality=click_quality,
-                    active_from=created,
-                )
-            )
-
-        _ENTITIES_BUILT.inc(len(ads) + n_bids_kept + n_campaigns)
-        account.bid_stats = bid_stats
-        if end_time is not None:
-            account.ad_creation_times = account.ad_creation_times[:n_ads]
-            account.kw_creation_times = account.kw_creation_times[:n_bids_kept]
-            account.ad_mod_times = [t for t in ad_mods_full if t < end_time]
-            account.kw_mod_times = [t for t in kw_mods_full if t < end_time]
 
 
 def materialize_account_batch(
@@ -281,25 +85,11 @@ def materialize_account_batch(
     ids: IdAllocator,
     rng: np.random.Generator,
 ) -> MaterializedAccount:
-    """Create campaigns, ads and keyword bids for an account -- fast.
+    """Draw an account's ads and keyword bids -- fast.
 
-    Bit-identical to :func:`repro.behavior.factory.materialize_account`
-    (same entities, same ``rng`` state afterwards) with two deliberate
-    differences in *packaging*: :attr:`MaterializedAccount.bid_stats`
-    is filled so the engine can summarize without touching every bid
-    object again, and for legitimate accounts entity construction is
-    deferred into the first :meth:`MaterializedAccount.trim` call,
-    which builds only the entities surviving the cutoff.
+    Bit-identical to :func:`repro.behavior.factory.materialize_account`:
+    the same columns, and the same ``rng`` state afterwards.
     """
-    account = MaterializedAccount(advertiser=advertiser, profile=profile)
-    campaigns = Campaign.bulk(
-        [ids.campaign_id() for _ in profile.verticals],
-        advertiser.advertiser_id,
-        list(profile.verticals),
-        list(profile.target_countries),
-        first_ad_time,
-    )
-    advertiser.campaigns.extend(campaigns)
     advertiser.record_first_ad(first_ad_time)
 
     n_ads = profile.n_ads
@@ -314,15 +104,13 @@ def materialize_account_batch(
     exponent = FRAUD_KEYWORD_ZIPF if is_fraud else 1.1
     # Per-campaign lookup tables and accumulators, unpacked per ad in
     # the hot loop.  Keyword picks and match types are recorded as pool
-    # indices / match codes; phrase tuples and enum members are only
-    # materialized for entities that survive trimming.
+    # indices / match codes.
     preps = []
     kw_idx_cols: list[list[int]] = []
     mcode_cols: list[list[int]] = []
     max_bid_cols: list[list[float]] = []
     created_cols: list[list[float]] = []
-    for campaign in campaigns:
-        vertical_name = campaign.vertical
+    for vertical_name in profile.verticals:
         avoid = (
             is_fraud
             and evasion_skill > 0
@@ -348,7 +136,6 @@ def materialize_account_batch(
         preps.append(
             (
                 vertical_name,
-                campaign.campaign_id,
                 vertical_info(vertical_name).base_ctr,
                 templates_for(vertical_name),
                 kcdf,
@@ -364,7 +151,7 @@ def materialize_account_batch(
             )
         )
 
-    n_campaigns = len(campaigns)
+    n_campaigns = len(preps)
     n_domains = len(domains)
     kw_per_ad = profile.kw_per_ad
     mod_rate = profile.mod_rate_per_entity
@@ -389,25 +176,17 @@ def materialize_account_batch(
 
     ad_ids = [ids.ad_id() for _ in range(n_ads)]
     copies: list[AdCopy] = []
-    engagements: list[float] = []
-    ad_campaign_ids: list[int] = []
-    ad_domains: list[str] = []
-    ad_creation_times: list[float] = []
     kw_creation_times: list[float] = []
     ad_mod_times: list[float] = []
     kw_mod_times: list[float] = []
     indexed = [0] * n_campaigns
-    # (ad_index, campaign_pos, bid_pos, kw_index, match_idx, quality,
-    #  click_quality, created) -- Offer objects are built at finalize
-    # time so they can reference the real Ad/bid objects.
-    offer_records: list[tuple] = []
-    offer_append = offer_records.append
+    offers: list[tuple] = []
+    offer_append = offers.append
 
     for ad_index, created in enumerate(ad_times):
         pos = ad_index % n_campaigns
         (
             vertical_name,
-            campaign_id,
             base_ctr,
             templates,
             kcdf,
@@ -427,10 +206,6 @@ def materialize_account_batch(
             copy = templates[int(integers(len(templates)))]
         engagement = float(lognormal(0.0, 0.25))
         copies.append(copy)
-        engagements.append(engagement)
-        ad_campaign_ids.append(campaign_id)
-        ad_domains.append(domains[ad_index % n_domains])
-        ad_creation_times.append(created)
 
         span = horizon - created
         has_mods = span > 0 and mod_rate > 0
@@ -456,6 +231,7 @@ def materialize_account_batch(
         else:
             picks = kcdf.searchsorted(rand(kw_per_ad), side="right").tolist()
 
+        ad_id = ad_ids[ad_index]
         quality_base = aq_rank * engagement * base_ctr
         click_base = aq_click * engagement * base_ctr
         n_indexed = indexed[pos]
@@ -491,11 +267,11 @@ def materialize_account_batch(
             if n_indexed < max_indexed:
                 offer_append(
                     (
-                        ad_index,
+                        ad_id,
                         pos,
-                        len(max_bid_col) - 1,
                         kw_index,
                         match_idx,
+                        max_bid,
                         quality_base * rel[match_idx],
                         click_base * rel[match_idx],
                         created,
@@ -509,38 +285,25 @@ def materialize_account_batch(
             created_col += chunk
             kw_creation_times += chunk
 
-    account.ad_creation_times = ad_creation_times
-    account.kw_creation_times = kw_creation_times
-    account.ad_mod_times = ad_mod_times
-    account.kw_mod_times = kw_mod_times
-
-    pending = _PendingEntities(
-        campaigns,
-        ad_ids,
-        copies,
-        engagements,
-        ad_campaign_ids,
-        ad_domains,
-        kw_idx_cols,
-        mcode_cols,
-        max_bid_cols,
-        created_cols,
-        offer_records,
-    )
-    if is_fraud:
-        # The detection pipeline's content filter reads the actual ad
-        # copy and keywords, so fraud accounts build immediately.
-        pending.finalize(account, None)
-    else:
-        account.pending = pending
-
     _ACCOUNTS_MATERIALIZED.inc()
     _DRAWS_RECORDED.inc(
-        len(ad_creation_times)
-        + len(kw_creation_times)
-        + len(ad_mod_times)
-        + len(kw_mod_times)
+        n_ads + len(kw_creation_times) + len(ad_mod_times) + len(kw_mod_times)
     )
-    for campaign in campaigns:
-        country_info(campaign.target_country)
-    return account
+    for target in profile.target_countries:
+        country_info(target)
+    return MaterializedAccount(
+        advertiser=advertiser,
+        profile=profile,
+        ad_ids=ad_ids,
+        ad_copies=copies,
+        ad_domains=[domains[i % n_domains] for i in range(n_ads)],
+        ad_creation_times=ad_times,
+        kw_idx_cols=kw_idx_cols,
+        mcode_cols=mcode_cols,
+        max_bid_cols=max_bid_cols,
+        created_cols=created_cols,
+        kw_creation_times=kw_creation_times,
+        offers=offers,
+        ad_mod_times=ad_mod_times,
+        kw_mod_times=kw_mod_times,
+    )

@@ -1,10 +1,12 @@
-"""Materialize behaviour profiles into marketplace entities.
+"""Materialize behaviour profiles into account columns.
 
-Given an :class:`AdvertiserProfile`, the factory creates the account,
-its campaigns, ads and keyword bids, with creation timestamps staggered
-over the account's life, and pre-samples maintenance (modification)
-events.  After the detection pipeline fixes the account's end time, the
-materialization is trimmed so nothing is "created" after shutdown.
+Given an :class:`AdvertiserProfile`, the factory draws the account's
+ads and keyword bids, with creation timestamps staggered over the
+account's life, and pre-samples maintenance (modification) events.
+Every draw lands in a plain column of one :class:`MaterializedAccount`;
+no per-ad or per-bid object is built.  After the detection pipeline
+fixes the account's end time, the account is trimmed so nothing is
+"created" after shutdown.
 
 Performance note: only a bounded number of keyword offers per campaign
 enter the auction *index* (``MAX_INDEXED_OFFERS_PER_CAMPAIGN``); very
@@ -15,32 +17,29 @@ representative sample.  Activity scaling compensates for volume.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from ..auction.quality import quality_score
 from ..config import SimulationConfig
-from ..entities.ad import Ad
 from ..entities.advertiser import Advertiser
-from ..entities.campaign import Campaign
 from ..entities.domains import (
     AFFILIATE_DOMAINS,
     SHORTENER_DOMAINS,
     sample_domain_count,
     unique_domain,
 )
-from ..entities.enums import MatchType
-from ..entities.keyword import KeywordBid
-from ..taxonomy.adcopy import render_ad
+from ..records.codes import match_code
+from ..taxonomy.adcopy import AdCopy, render_ad
 from ..taxonomy.geography import country as country_info
 from ..taxonomy.keywords import keyword_pool, keyword_weights, risky_keyword_mask
 from ..taxonomy.verticals import vertical as vertical_info
 from .profiles import AdvertiserProfile
 
 __all__ = [
-    "Offer",
-    "CampaignBidStats",
     "MaterializedAccount",
     "IdAllocator",
     "materialize_account",
@@ -50,18 +49,14 @@ MAX_INDEXED_OFFERS_PER_CAMPAIGN = 40
 #: Share of an account's ads posted immediately at first-ad time.
 UPFRONT_AD_FRACTION = 0.7
 
+_offer_created = itemgetter(7)
+
 
 class IdAllocator:
-    """Monotonic id source for campaigns and ads."""
+    """Monotonic id source for ads."""
 
     def __init__(self) -> None:
-        self._next_campaign = 0
         self._next_ad = 0
-
-    def campaign_id(self) -> int:
-        """Next unique campaign id."""
-        self._next_campaign += 1
-        return self._next_campaign
 
     def ad_id(self) -> int:
         """Next unique ad id."""
@@ -70,112 +65,66 @@ class IdAllocator:
 
 
 @dataclass
-class Offer:
-    """One auction-eligible (advertiser, ad, keyword bid) unit.
-
-    Quality is precomputed: it depends only on static account/ad/
-    vertical/match-type attributes.  ``kw_index`` is the keyword's
-    position in its vertical's pool, used by the engine's
-    pre-computed match tables.
-    """
-
-    advertiser: Advertiser
-    profile: AdvertiserProfile
-    vertical: str
-    country: str
-    ad: Ad
-    bid: KeywordBid
-    kw_index: int
-    quality: float
-    click_quality: float
-    active_from: float
-
-    @property
-    def max_bid(self) -> float:
-        """The underlying keyword bid's maximum CPC."""
-        return self.bid.max_bid
-
-    @property
-    def match_type(self) -> MatchType:
-        """The underlying keyword bid's match type."""
-        return self.bid.match_type
-
-
-@dataclass
-class CampaignBidStats:
-    """Parallel per-bid arrays for one campaign, for fast summarizing.
-
-    Mirrors ``campaign.bids`` element for element (same order): the
-    match code, max bid and creation day of each bid.  The batched
-    materializer fills these so the engine's summary statistics come
-    from three ``bincount`` calls instead of a Python loop over every
-    bid object; :meth:`MaterializedAccount.trim` keeps them aligned
-    with the trimmed bid lists.
-    """
-
-    mcodes: np.ndarray
-    max_bids: np.ndarray
-    created: np.ndarray
-
-    def trim(self, end_time: float) -> None:
-        """Drop bids created at or after ``end_time`` (same rule as trim)."""
-        keep = self.created < end_time
-        if not keep.all():
-            self.mcodes = self.mcodes[keep]
-            self.max_bids = self.max_bids[keep]
-            self.created = self.created[keep]
-
-
-@dataclass
 class MaterializedAccount:
-    """An account plus the side-structures the engine and analyses need.
+    """One account's Phase-1 draws, held as plain columns.
+
+    Campaign ``c`` is ``(profile.verticals[c],
+    profile.target_countries[c])`` and owns ads ``c, c+n, c+2n, ...``
+    of the account's ``n`` campaigns.  Every list is in creation order.
+
+    * Per ad: ``ad_ids``, ``ad_copies`` (:class:`AdCopy`),
+      ``ad_domains`` (destination domain) and ``ad_creation_times``.
+    * Per bid, one list per campaign, campaign-major: ``kw_idx_cols``
+      (position in the vertical's keyword pool), ``mcode_cols`` (match
+      code, :data:`repro.records.codes.MATCH_CODES`), ``max_bid_cols``
+      and ``created_cols``.  ``kw_creation_times`` holds the same
+      creation times in ad order.
+    * ``offers``: the auction-eligible (ad, bid) pairs, at most
+      ``MAX_INDEXED_OFFERS_PER_CAMPAIGN`` per campaign, in ad order.
+      Each is the tuple ``(ad_id, campaign, kw_index, match_code,
+      max_bid, quality, click_quality, created)``; quality is
+      precomputed, as it depends only on static account/ad/vertical/
+      match-type attributes.
+    * ``ad_mod_times`` / ``kw_mod_times``: maintenance event times.
 
     ``activity_end`` is filled in by the engine once the detection
     outcome (or dormancy) fixes when the account stops competing.
-    ``bid_stats``, when present (batched materializer only), is parallel
-    to ``advertiser.campaigns`` and mirrors each campaign's bid list.
     """
 
     advertiser: Advertiser
     profile: AdvertiserProfile
     activity_end: float = float("inf")
-    offers: list[Offer] = field(default_factory=list)
+    ad_ids: list[int] = field(default_factory=list)
+    ad_copies: list[AdCopy] = field(default_factory=list)
+    ad_domains: list[str] = field(default_factory=list)
     ad_creation_times: list[float] = field(default_factory=list)
+    kw_idx_cols: list[list[int]] = field(default_factory=list)
+    mcode_cols: list[list[int]] = field(default_factory=list)
+    max_bid_cols: list[list[float]] = field(default_factory=list)
+    created_cols: list[list[float]] = field(default_factory=list)
     kw_creation_times: list[float] = field(default_factory=list)
+    offers: list[tuple] = field(default_factory=list)
     ad_mod_times: list[float] = field(default_factory=list)
     kw_mod_times: list[float] = field(default_factory=list)
-    bid_stats: list[CampaignBidStats] | None = None
-    #: Deferred entity columns (batched materializer, legitimate
-    #: accounts only): entity objects have not been built yet and will
-    #: be constructed by the first :meth:`trim` -- survivors only.
-    pending: object | None = field(default=None, repr=False, compare=False)
-
-    def destination_domains(self) -> set[str]:
-        """Destination domains across all (pre-trim) ads."""
-        if self.pending is not None:
-            return set(self.pending.ad_domains)
-        return {
-            ad.destination_domain
-            for campaign in self.advertiser.campaigns
-            for ad in campaign.ads
-        }
 
     def trim(self, end_time: float) -> None:
-        """Drop everything scheduled after the account's end time."""
-        pending = self.pending
-        if pending is not None:
-            self.pending = None
-            pending.finalize(self, end_time)
-            return
-        for campaign in self.advertiser.campaigns:
-            campaign.ads = [a for a in campaign.ads if a.created_day < end_time]
-            campaign.bids = [b for b in campaign.bids if b.created_day < end_time]
-        if self.bid_stats is not None:
-            for stats in self.bid_stats:
-                stats.trim(end_time)
-        self.offers = [o for o in self.offers if o.active_from < end_time]
-        self.ad_creation_times = [t for t in self.ad_creation_times if t < end_time]
-        self.kw_creation_times = [t for t in self.kw_creation_times if t < end_time]
+        """Drop everything created at or after the account's end time."""
+        n_ads = bisect_left(self.ad_creation_times, end_time)
+        for column in (
+            self.ad_ids,
+            self.ad_copies,
+            self.ad_domains,
+            self.ad_creation_times,
+        ):
+            del column[n_ads:]
+        for columns in zip(
+            self.kw_idx_cols, self.mcode_cols, self.max_bid_cols, self.created_cols
+        ):
+            keep = bisect_left(columns[3], end_time)
+            for column in columns:
+                del column[keep:]
+        del self.kw_creation_times[bisect_left(self.kw_creation_times, end_time) :]
+        del self.offers[bisect_left(self.offers, end_time, key=_offer_created) :]
         self.ad_mod_times = [t for t in self.ad_mod_times if t < end_time]
         self.kw_mod_times = [t for t in self.kw_mod_times if t < end_time]
 
@@ -218,8 +167,8 @@ def _sample_keywords(
     is_fraud: bool,
     evasion_skill: float,
     rng: np.random.Generator,
-) -> list[tuple[int, tuple[str, ...]]]:
-    """Sample (pool index, phrase) pairs by Zipf popularity.
+) -> list[int]:
+    """Sample keyword pool indices by Zipf popularity.
 
     Skilled fraudsters re-draw keywords containing blacklisted brand
     tokens (with probability ``evasion_skill`` per draw) -- except in
@@ -243,7 +192,7 @@ def _sample_keywords(
                 safe_weights = weights[safe] / weights[safe].sum()
                 index = int(safe[int(rng.choice(len(safe), p=safe_weights))])
         picks.append(index)
-    return [(i, pool[i]) for i in picks]
+    return picks
 
 
 def _mod_events(
@@ -267,68 +216,62 @@ def materialize_account(
     ids: IdAllocator,
     rng: np.random.Generator,
 ) -> MaterializedAccount:
-    """Create campaigns, ads and keyword bids for an account.
+    """Draw an account's ads and keyword bids, one draw at a time.
 
-    Ads are split round-robin across the profile's campaigns; keyword
-    bids attach to their ad's campaign.  Call
+    The scalar oracle of
+    :func:`~repro.behavior.batch.materialize_account_batch`.  Ads are
+    split round-robin across the profile's campaigns; keyword bids
+    attach to their ad's campaign.  Call
     :meth:`MaterializedAccount.trim` once the detection pipeline fixes
     the account's true end time.
     """
-    account = MaterializedAccount(advertiser=advertiser, profile=profile)
-    campaigns = [
-        Campaign(
-            campaign_id=ids.campaign_id(),
-            advertiser_id=advertiser.advertiser_id,
-            vertical=vertical_name,
-            target_country=target,
-            created_day=first_ad_time,
-        )
-        for vertical_name, target in zip(profile.verticals, profile.target_countries)
-    ]
-    advertiser.campaigns.extend(campaigns)
+    n_campaigns = len(profile.verticals)
+    account = MaterializedAccount(
+        advertiser=advertiser,
+        profile=profile,
+        kw_idx_cols=[[] for _ in range(n_campaigns)],
+        mcode_cols=[[] for _ in range(n_campaigns)],
+        max_bid_cols=[[] for _ in range(n_campaigns)],
+        created_cols=[[] for _ in range(n_campaigns)],
+    )
     advertiser.record_first_ad(first_ad_time)
 
     domains = _destination_domains(profile, profile.n_ads, rng)
     ad_times = _creation_times(profile.n_ads, first_ad_time, horizon, rng)
     match_types, match_probs = profile.match_mix.as_probs()
-    indexed_per_campaign: dict[int, int] = {c.campaign_id: 0 for c in campaigns}
+    indexed_per_campaign = [0] * n_campaigns
     # Evasion is an operator *style*, decided once per account: either
     # the fraudster works blacklist-safe or they do not.
     evasive = profile.is_fraud and rng.random() < profile.evasion_skill
 
     for ad_index, created in enumerate(ad_times):
-        campaign = campaigns[ad_index % len(campaigns)]
-        vert = vertical_info(campaign.vertical)
-        copy = render_ad(campaign.vertical, rng, evasive=evasive)
-        domain = domains[ad_index % len(domains)]
-        ad = Ad(
-            ad_id=ids.ad_id(),
-            campaign_id=campaign.campaign_id,
-            copy=copy,
-            display_domain=domain,
-            destination_domain=domain,
-            created_day=created,
-            engagement=float(rng.lognormal(0.0, 0.25)),
-        )
-        campaign.add_ad(ad)
+        campaign = ad_index % n_campaigns
+        vertical_name = profile.verticals[campaign]
+        base_ctr = vertical_info(vertical_name).base_ctr
+        ad_id = ids.ad_id()
+        account.ad_ids.append(ad_id)
+        account.ad_copies.append(render_ad(vertical_name, rng, evasive=evasive))
+        account.ad_domains.append(domains[ad_index % len(domains)])
         account.ad_creation_times.append(created)
+        engagement = float(rng.lognormal(0.0, 0.25))
         account.ad_mod_times.extend(
             _mod_events(created, horizon, profile.mod_rate_per_entity, rng)
         )
 
         keywords = _sample_keywords(
-            campaign.vertical,
+            vertical_name,
             profile.kw_per_ad,
             profile.is_fraud,
             profile.evasion_skill,
             rng,
         )
-        seen: set[tuple[tuple[str, ...], MatchType]] = set()
-        for kw_index, keyword in keywords:
+        seen: set[tuple[int, int]] = set()
+        for kw_index in keywords:
             match_type = match_types[int(rng.choice(len(match_types), p=match_probs))]
-            if (keyword, match_type) in seen:
+            code = match_code(match_type)
+            if (kw_index, code) in seen:
                 continue
-            seen.add((keyword, match_type))
+            seen.add((kw_index, code))
             multiplier = profile.bid_levels.multiplier(match_type)
             if multiplier == 1.0:
                 # Advertisers who keep the platform default keep it
@@ -340,65 +283,41 @@ def materialize_account(
                     * multiplier
                     * float(np.exp(rng.normal(0.0, 0.15)))
                 )
-            bid = KeywordBid(
-                keyword=keyword,
-                match_type=match_type,
-                max_bid=max(0.05, max_bid),
-                created_day=created,
-            )
-            campaign.add_bid(bid)
+            max_bid = max(0.05, max_bid)
+            account.kw_idx_cols[campaign].append(kw_index)
+            account.mcode_cols[campaign].append(code)
+            account.max_bid_cols[campaign].append(max_bid)
+            account.created_cols[campaign].append(created)
             account.kw_creation_times.append(created)
             account.kw_mod_times.extend(
                 _mod_events(created, horizon, profile.mod_rate_per_entity, rng)
             )
-            if indexed_per_campaign[campaign.campaign_id] < MAX_INDEXED_OFFERS_PER_CAMPAIGN:
-                indexed_per_campaign[campaign.campaign_id] += 1
+            if indexed_per_campaign[campaign] < MAX_INDEXED_OFFERS_PER_CAMPAIGN:
+                indexed_per_campaign[campaign] += 1
                 account.offers.append(
-                    Offer(
-                        advertiser=advertiser,
-                        profile=profile,
-                        vertical=campaign.vertical,
-                        country=campaign.target_country,
-                        ad=ad,
-                        bid=bid,
-                        kw_index=kw_index,
-                        quality=quality_score(
+                    (
+                        ad_id,
+                        campaign,
+                        kw_index,
+                        code,
+                        max_bid,
+                        quality_score(
                             advertiser.quality * profile.rank_gaming,
-                            ad.engagement,
-                            vert.base_ctr,
+                            engagement,
+                            base_ctr,
                             match_type,
                         ),
-                        click_quality=quality_score(
+                        quality_score(
                             advertiser.quality * profile.realized_ctr_factor,
-                            ad.engagement,
-                            vert.base_ctr,
+                            engagement,
+                            base_ctr,
                             match_type,
                         ),
-                        active_from=created,
+                        created,
                     )
                 )
 
-    # Distribute modification counts back onto entities (coarsely: the
-    # per-entity count only feeds aggregate statistics).
-    _assign_mod_counts(campaigns, account)
     # Sanity: country info must exist for every campaign target.
-    for campaign in campaigns:
-        country_info(campaign.target_country)
+    for target in profile.target_countries:
+        country_info(target)
     return account
-
-
-def _assign_mod_counts(
-    campaigns: list[Campaign], account: MaterializedAccount
-) -> None:
-    ads = [ad for c in campaigns for ad in c.ads]
-    bids = [bid for c in campaigns for bid in c.bids]
-    if ads and account.ad_mod_times:
-        per_ad = len(account.ad_mod_times) // len(ads)
-        remainder = len(account.ad_mod_times) % len(ads)
-        for index, ad in enumerate(ads):
-            ad.modified_count = per_ad + (1 if index < remainder else 0)
-    if bids and account.kw_mod_times:
-        per_bid = len(account.kw_mod_times) // len(bids)
-        remainder = len(account.kw_mod_times) % len(bids)
-        for index, bid in enumerate(bids):
-            bid.modified_count = per_bid + (1 if index < remainder else 0)

@@ -5,7 +5,7 @@ account *intends* to behave: which verticals and markets it targets,
 how many ads and keywords it runs, its bidding style, activity level,
 evasion investment, and churn rates.  Profiles are sampled by
 :mod:`repro.behavior.legitimate` and :mod:`repro.behavior.fraudulent`
-and materialized into entities by :mod:`repro.behavior.factory`.
+and materialized into account columns by :mod:`repro.behavior.factory`.
 """
 
 from __future__ import annotations

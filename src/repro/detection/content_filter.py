@@ -18,6 +18,7 @@ from ..config import DetectionConfig
 from ..entities.enums import AdvertiserKind
 from ..matching.blacklist import Blacklist
 from ..matching.evasion import deobfuscate, obfuscation_score
+from ..taxonomy.keywords import keyword_pool
 from .hazards import sample_exponential_delay
 
 __all__ = ["content_filter_catch_prob", "evaluate_content"]
@@ -58,19 +59,17 @@ def content_filter_catch_prob(
     plain_violation = False
     hidden_violation = False
     max_suspicion = 0.0
-    for campaign in account.advertiser.campaigns:
-        for ad in campaign.ads:
-            text = ad.copy.text()
-            if blacklist.scan_text(text) or blacklist.is_domain_blacklisted(
-                ad.destination_domain
-            ):
-                plain_violation = True
-            elif blacklist.scan_text(deobfuscate(text)):
-                hidden_violation = True
-            max_suspicion = max(max_suspicion, obfuscation_score(text))
-        for bid in campaign.bids:
-            if blacklist.term_hits(bid.phrase):
-                plain_violation = True
+    for copy, domain in zip(account.ad_copies, account.ad_domains):
+        text = copy.text()
+        if blacklist.scan_text(text) or blacklist.is_domain_blacklisted(domain):
+            plain_violation = True
+        elif blacklist.scan_text(deobfuscate(text)):
+            hidden_violation = True
+        max_suspicion = max(max_suspicion, obfuscation_score(text))
+    for vertical, kw_idx_col in zip(profile.verticals, account.kw_idx_cols):
+        pool = keyword_pool(vertical)
+        if any(blacklist.term_hits(" ".join(pool[i])) for i in set(kw_idx_col)):
+            plain_violation = True
 
     evasion_discount = 1.0 - 0.5 * profile.evasion_skill
     miss = 1.0 - base

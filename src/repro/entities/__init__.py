@@ -1,8 +1,10 @@
-"""Marketplace entities: advertisers, campaigns, ads, keyword bids."""
+"""Marketplace entities: the advertiser account, enums and domains.
 
-from .ad import Ad
+Ads and keyword bids are not objects: Phase 1 records them as plain
+columns of :class:`repro.behavior.factory.MaterializedAccount`.
+"""
+
 from .advertiser import Advertiser
-from .campaign import Campaign
 from .domains import (
     AFFILIATE_DOMAINS,
     SHORTENER_DOMAINS,
@@ -11,13 +13,9 @@ from .domains import (
     unique_domain,
 )
 from .enums import AccountStatus, AdvertiserKind, MatchType, ShutdownReason
-from .keyword import KeywordBid
 
 __all__ = [
-    "Ad",
     "Advertiser",
-    "Campaign",
-    "KeywordBid",
     "AccountStatus",
     "AdvertiserKind",
     "MatchType",

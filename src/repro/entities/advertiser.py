@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .campaign import Campaign
 from .enums import AccountStatus, AdvertiserKind, ShutdownReason
 
 __all__ = ["Advertiser"]
@@ -36,7 +35,6 @@ class Advertiser:
         labeled_fraud: Whether the platform shut the account down as
             fraudulent by the end of the study.
         first_ad_time: When the account first posted an ad, if ever.
-        campaigns: Campaigns owned by the account.
     """
 
     advertiser_id: int
@@ -54,7 +52,6 @@ class Advertiser:
     shutdown_reason: ShutdownReason | None = None
     labeled_fraud: bool = False
     first_ad_time: float | None = None
-    campaigns: list[Campaign] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.activity_scale <= 0:
@@ -68,17 +65,6 @@ class Advertiser:
     def is_fraud(self) -> bool:
         """Ground-truth fraud flag."""
         return self.kind.is_fraud
-
-    @property
-    def is_active(self) -> bool:
-        """Whether the account has not been shut down."""
-        return self.status is AccountStatus.ACTIVE
-
-    def active_at(self, time: float) -> bool:
-        """Whether the account exists and is not yet shut down at ``time``."""
-        if time < self.created_time:
-            return False
-        return self.shutdown_time is None or time < self.shutdown_time
 
     def shutdown(self, time: float, reason: ShutdownReason, as_fraud: bool) -> None:
         """Freeze the account at ``time``.
@@ -100,25 +86,3 @@ class Advertiser:
         """Note the first ad posting (idempotent; keeps the earliest)."""
         if self.first_ad_time is None or time < self.first_ad_time:
             self.first_ad_time = time
-
-    def lifetime_from_registration(self) -> float | None:
-        """Days from registration to shutdown, if shut down."""
-        if self.shutdown_time is None:
-            return None
-        return self.shutdown_time - self.created_time
-
-    def lifetime_from_first_ad(self) -> float | None:
-        """Days from first ad posting to shutdown, if both happened."""
-        if self.shutdown_time is None or self.first_ad_time is None:
-            return None
-        return max(0.0, self.shutdown_time - self.first_ad_time)
-
-    def all_ads(self):
-        """Iterate every ad across campaigns."""
-        for campaign in self.campaigns:
-            yield from campaign.ads
-
-    def all_bids(self):
-        """Iterate every keyword bid across campaigns."""
-        for campaign in self.campaigns:
-            yield from campaign.bids

@@ -25,7 +25,7 @@ from .io import (
     write_impressions_csv,
     write_records_jsonl,
 )
-from .schemas import AdRecord, CustomerRecord, DetectionRecord, KeywordRecord
+from .schemas import CustomerRecord, DetectionRecord
 
 __all__ = [
     "MATCH_CODES",
@@ -45,8 +45,6 @@ __all__ = [
     "ImpressionBuilder",
     "ImpressionTable",
     "CustomerRecord",
-    "AdRecord",
-    "KeywordRecord",
     "DetectionRecord",
     "write_impressions_csv",
     "read_impressions_csv",

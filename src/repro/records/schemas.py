@@ -1,7 +1,6 @@
 """Typed record schemas for the paper's three datasets.
 
-* Customer and ad records -- :class:`CustomerRecord`, :class:`AdRecord`,
-  :class:`KeywordRecord`.
+* Customer records -- :class:`CustomerRecord`.
 * Ad impression and click records -- see
   :mod:`repro.records.impressions`.
 * Fraud detection records -- :class:`DetectionRecord`.
@@ -13,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 from ..entities.enums import AdvertiserKind, ShutdownReason
 
-__all__ = ["CustomerRecord", "AdRecord", "KeywordRecord", "DetectionRecord"]
+__all__ = ["CustomerRecord", "DetectionRecord"]
 
 
 @dataclass(frozen=True)
@@ -45,41 +44,6 @@ class CustomerRecord:
     def is_fraud_ground_truth(self) -> bool:
         """Ground-truth fraud flag (not the platform label)."""
         return AdvertiserKind(self.kind).is_fraud
-
-
-@dataclass(frozen=True)
-class AdRecord:
-    """One advertisement (title, body, URLs)."""
-
-    ad_id: int
-    campaign_id: int
-    advertiser_id: int
-    vertical: str
-    title: str
-    body: str
-    display_domain: str
-    destination_domain: str
-    created_day: float
-    modified_count: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class KeywordRecord:
-    """One keyword bid (phrase, match type, max bid)."""
-
-    advertiser_id: int
-    campaign_id: int
-    keyword: str
-    match_type: str
-    max_bid: float
-    created_day: float
-    modified_count: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

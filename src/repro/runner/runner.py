@@ -388,7 +388,6 @@ class CheckpointRunner:
         accounts, summaries = engine.generate_population(on_day_complete=on_day)
         with obs.span("phase2.market", accounts=len(accounts)):
             market = MarketIndex(accounts)
-            market.country_volume_check()
 
         records = engine.pipeline.records
         phase1_blob, market_blob = snapshot_bytes(summaries, records, market)

@@ -39,6 +39,7 @@ streams, both produce bit-identical impression tables.
 from __future__ import annotations
 
 import gc
+from itertools import chain
 
 import numpy as np
 
@@ -204,39 +205,21 @@ class SimulationEngine:
         kw_mods: list[float] = []
         n_domains = 0
         if account is not None:
-            domains = set()
-            for campaign in advertiser.campaigns:
-                for ad in campaign.ads:
-                    domains.add(ad.destination_domain)
-            if account.bid_stats is not None:
-                # Fast path (batched materializer): one concatenated
-                # campaign-major pass.  ``bincount`` accumulates weights
-                # sequentially in array order, which is exactly the
-                # order the scalar loop below adds them in, so the
-                # float sums are bit-identical.
-                stats = account.bid_stats
-                if stats:
-                    mcodes = np.concatenate([s.mcodes for s in stats])
-                    max_bids = np.concatenate([s.max_bids for s in stats])
-                    if len(mcodes):
-                        bid_count = np.bincount(mcodes, minlength=3).astype(
-                            np.float64
-                        )
-                        bid_sum = np.bincount(
-                            mcodes, weights=max_bids, minlength=3
-                        )
-                        bid_above = np.bincount(
-                            mcodes[max_bids > default_bid * 1.0001], minlength=3
-                        ).astype(np.float64)
-            else:
-                for campaign in advertiser.campaigns:
-                    for bid in campaign.bids:
-                        code = match_code(bid.match_type)
-                        bid_count[code] += 1
-                        bid_sum[code] += bid.max_bid
-                        if bid.max_bid > default_bid * 1.0001:
-                            bid_above[code] += 1
-            n_domains = len(domains)
+            n_domains = len(set(account.ad_domains))
+            # One campaign-major pass over every bid.  ``bincount``
+            # accumulates weights sequentially in array order, so each
+            # sum is that of a plain loop over the campaigns' bids in
+            # turn.
+            mcodes = np.fromiter(chain.from_iterable(account.mcode_cols), np.int8)
+            if len(mcodes):
+                max_bids = np.fromiter(
+                    chain.from_iterable(account.max_bid_cols), np.float64
+                )
+                bid_count = np.bincount(mcodes, minlength=3).astype(np.float64)
+                bid_sum = np.bincount(mcodes, weights=max_bids, minlength=3)
+                bid_above = np.bincount(
+                    mcodes[max_bids > default_bid * 1.0001], minlength=3
+                ).astype(np.float64)
             ad_creations = account.ad_creation_times
             kw_creations = account.kw_creation_times
             ad_mods = account.ad_mod_times
@@ -280,7 +263,7 @@ class SimulationEngine:
         created_time: float,
         materializer=materialize_account_batch,
     ) -> tuple[MaterializedAccount, float, bool]:
-        """Every RNG draw for one account; entity finalization deferred.
+        """Every RNG draw for one account; trim and summary deferred.
 
         Performs the draw-bearing half of account generation -- screen,
         materialize, evaluate, commit, dormancy -- in the canonical
@@ -345,7 +328,7 @@ class SimulationEngine:
             advertiser.shutdown(
                 outcome.shutdown_time, outcome.reason, outcome.labeled_fraud
             )
-            domains = sorted(account.destination_domains())
+            domains = sorted(set(account.ad_domains))
             self.pipeline.commit(advertiser.advertiser_id, outcome, domains)
             activity_end = outcome.shutdown_time
         else:
@@ -450,10 +433,10 @@ class SimulationEngine:
         heartbeat = obs.heartbeat_every()
         tracer = obs.tracer()
         # Nearly everything allocated here is either retained for the
-        # whole run (entities, summaries) or freed promptly by reference
-        # counting (trimmed columns); cyclic GC only adds pauses that
-        # scale with the live-object count -- about a quarter of
-        # Phase-1 wall time at full scale.  Pause it for both passes.
+        # whole run (account columns, summaries) or freed promptly by
+        # reference counting (trimmed columns); cyclic GC only adds
+        # pauses that scale with the live-object count.  Pause it for
+        # both passes.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         ledger = obs.dayledger()
@@ -518,7 +501,7 @@ class SimulationEngine:
 
         Runs the whole-horizon plan/build path
         (:meth:`_generate_population_horizon`) with the batched
-        materializer; the output -- entities, summaries and
+        materializer; the output -- account columns, summaries and
         post-generation RNG stream states -- is bit-identical to the
         retained oracle, :meth:`generate_population_scalar`.
 
@@ -535,8 +518,8 @@ class SimulationEngine:
     ) -> tuple[list[MaterializedAccount], list[AccountSummary]]:
         """The pre-vectorization Phase 1, kept as the oracle.
 
-        The same whole-horizon driver, materializing one entity at a
-        time through :func:`~repro.behavior.factory.materialize_account`.
+        The same two whole-horizon passes, drawing one value at a time
+        through :func:`~repro.behavior.factory.materialize_account`.
         Slow but simple enough to trust: the differential tests assert
         :meth:`generate_population` reproduces its accounts, summaries
         and RNG stream states exactly.
@@ -851,7 +834,6 @@ class SimulationEngine:
             accounts, summaries = self.generate_population()
             with obs.span("phase2.market", accounts=len(accounts)):
                 market = MarketIndex(accounts)
-                market.country_volume_check()
             builder = ImpressionBuilder()
             self.run_auctions(market, builder)
             return SimulationResult(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import obs
 from ..behavior.factory import MaterializedAccount
-from ..records.codes import country_code, match_code, vertical_code
+from ..records.codes import country_code, vertical_code
 from ..taxonomy.geography import COUNTRIES
 from .querygen import CellSampler
 
@@ -147,26 +147,31 @@ class MarketIndex:
 
         with obs.span("market.offers", accounts=len(accounts)):
             for row, account in enumerate(accounts):
-                participation.append(account.profile.participation_prob)
+                profile = account.profile
+                participation.append(profile.participation_prob)
+                if not account.offers:
+                    continue
                 advertiser = account.advertiser
-                end = account.activity_end
-                for offer in account.offers:
-                    vert = vertical_code(offer.vertical)
-                    ctry = country_code(offer.country)
-                    cells.append(CellSampler.cell_of(vert, ctry))
-                    kws.append(offer.kw_index)
-                    matches.append(match_code(offer.match_type))
-                    max_bids.append(offer.max_bid)
-                    qualities.append(offer.quality)
-                    click_qualities.append(offer.click_quality)
-                    adv_rows.append(row)
-                    advertiser_ids.append(advertiser.advertiser_id)
-                    ad_ids.append(offer.ad.ad_id)
-                    active_from.append(offer.active_from)
-                    active_until.append(end)
-                    fraud_labeled.append(advertiser.labeled_fraud)
-                    verticals.append(vert)
-                    countries.append(ctry)
+                ad, campaign, kw, match, bid, quality, click, created = zip(
+                    *account.offers
+                )
+                n = len(ad)
+                vert = [vertical_code(v) for v in profile.verticals]
+                ctry = [country_code(c) for c in profile.target_countries]
+                cells.extend(CellSampler.cell_of(vert[c], ctry[c]) for c in campaign)
+                kws.extend(kw)
+                matches.extend(match)
+                max_bids.extend(bid)
+                qualities.extend(quality)
+                click_qualities.extend(click)
+                adv_rows.extend([row] * n)
+                advertiser_ids.extend([advertiser.advertiser_id] * n)
+                ad_ids.extend(ad)
+                active_from.extend(created)
+                active_until.extend([account.activity_end] * n)
+                fraud_labeled.extend([advertiser.labeled_fraud] * n)
+                verticals.extend(vert[c] for c in campaign)
+                countries.extend(ctry[c] for c in campaign)
 
         with obs.span("market.columns", offers=len(cells)):
             self.n_offers = len(cells)
@@ -189,6 +194,8 @@ class MarketIndex:
             if self.n_offers and int(self.kw.max()) >= _MAX_KW:
                 raise ValueError("keyword pool exceeds composite key capacity")
             self._key = bucket_keys(self.cell, self.kw, self.match)
+            if self.n_offers and int(self.country.max()) >= len(COUNTRIES):
+                raise ValueError("country code out of range")
 
     def live_mask(self, time: float, rng: np.random.Generator) -> np.ndarray:
         """Offers live at ``time``: active interval covers it, account on."""
@@ -219,8 +226,3 @@ class MarketIndex:
             counts=ends - starts,
             rows=sorted_live,
         )
-
-    def country_volume_check(self) -> None:
-        """Internal consistency: country codes must index COUNTRIES."""
-        if self.n_offers and int(self.country.max()) >= len(COUNTRIES):
-            raise ValueError("country code out of range")

@@ -12,6 +12,7 @@ from repro.behavior.legitimate import sample_legitimate_profile
 from repro.config import default_config
 from repro.entities.advertiser import Advertiser
 from repro.taxonomy.geography import country as country_info
+from repro.taxonomy.keywords import keyword_pool
 
 CONFIG = default_config()
 
@@ -46,8 +47,7 @@ def legit_account():
 class TestMaterialization:
     def test_counts_match_profile(self, legit_account):
         profile = legit_account.profile
-        ads = list(legit_account.advertiser.all_ads())
-        assert len(ads) == profile.n_ads
+        assert len(legit_account.ad_ids) == profile.n_ads
         assert len(legit_account.ad_creation_times) == profile.n_ads
 
     def test_first_ad_recorded(self, legit_account):
@@ -55,18 +55,26 @@ class TestMaterialization:
         assert min(legit_account.ad_creation_times) == 5.0
 
     def test_campaigns_match_verticals(self, legit_account):
-        verticals = [c.vertical for c in legit_account.advertiser.campaigns]
-        assert tuple(verticals) == legit_account.profile.verticals
+        verticals = legit_account.profile.verticals
+        for columns in (
+            legit_account.kw_idx_cols,
+            legit_account.mcode_cols,
+            legit_account.max_bid_cols,
+            legit_account.created_cols,
+        ):
+            assert len(columns) == len(verticals)
+        for vertical, kw_idx_col in zip(verticals, legit_account.kw_idx_cols):
+            assert all(0 <= i < len(keyword_pool(vertical)) for i in kw_idx_col)
 
     def test_offers_within_bounds(self, legit_account):
-        for offer in legit_account.offers:
-            assert offer.quality > 0
-            assert offer.max_bid > 0
-            assert 5.0 <= offer.active_from <= 100.0
+        for _, _, _, _, max_bid, quality, _, created in legit_account.offers:
+            assert quality > 0
+            assert max_bid > 0
+            assert 5.0 <= created <= 100.0
 
     def test_bids_positive_and_typed(self, legit_account):
-        for bid in legit_account.advertiser.all_bids():
-            assert bid.max_bid > 0
+        for max_bids in legit_account.max_bid_cols:
+            assert all(max_bid > 0 for max_bid in max_bids)
 
     def test_creation_times_sorted_and_bounded(self, legit_account):
         times = legit_account.ad_creation_times
@@ -83,9 +91,9 @@ class TestTrim:
         assert all(t < 10.0 for t in account.ad_creation_times)
         assert all(t < 10.0 for t in account.kw_creation_times)
         assert all(t < 10.0 for t in account.ad_mod_times)
-        assert all(o.active_from < 10.0 for o in account.offers)
-        for campaign in account.advertiser.campaigns:
-            assert all(ad.created_day < 10.0 for ad in campaign.ads)
+        assert all(offer[7] < 10.0 for offer in account.offers)
+        for created in account.created_cols:
+            assert all(t < 10.0 for t in created)
 
     def test_trim_keeps_first_ad(self):
         rng = np.random.Generator(np.random.PCG64(23))
@@ -103,13 +111,12 @@ class TestFraudMaterialization:
         for _ in range(60):
             fp = sample_fraud_profile(CONFIG, rng, prolific=True)
             account = _materialize(fp, seed=int(rng.integers(1e9)))
-            fraud_heads.extend(o.kw_index for o in account.offers)
+            fraud_heads.extend(offer[2] for offer in account.offers)
             lp = sample_legitimate_profile(CONFIG, rng)
             account = _materialize(lp, seed=int(rng.integers(1e9)))
-            legit_heads.extend(o.kw_index for o in account.offers)
+            legit_heads.extend(offer[2] for offer in account.offers)
         assert np.mean(fraud_heads) < np.mean(legit_heads)
 
     def test_id_allocator_unique(self):
         ids = IdAllocator()
         assert len({ids.ad_id() for _ in range(100)}) == 100
-        assert len({ids.campaign_id() for _ in range(100)}) == 100

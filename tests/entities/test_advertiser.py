@@ -37,7 +37,6 @@ class TestLifecycle:
         assert adv.status is AccountStatus.SHUTDOWN
         assert adv.shutdown_time == 12.5
         assert adv.labeled_fraud
-        assert not adv.is_active
 
     def test_double_shutdown_rejected(self):
         adv = make_advertiser()
@@ -50,14 +49,6 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             adv.shutdown(5.0, ShutdownReason.BEHAVIORAL, as_fraud=True)
 
-    def test_active_at(self):
-        adv = make_advertiser()
-        assert not adv.active_at(9.0)
-        assert adv.active_at(10.0)
-        adv.shutdown(20.0, ShutdownReason.BEHAVIORAL, as_fraud=True)
-        assert adv.active_at(19.9)
-        assert not adv.active_at(20.0)
-
     def test_record_first_ad_keeps_earliest(self):
         adv = make_advertiser()
         adv.record_first_ad(15.0)
@@ -65,14 +56,6 @@ class TestLifecycle:
         assert adv.first_ad_time == 15.0
         adv.record_first_ad(12.0)
         assert adv.first_ad_time == 12.0
-
-    def test_lifetimes(self):
-        adv = make_advertiser()
-        assert adv.lifetime_from_registration() is None
-        adv.record_first_ad(11.0)
-        adv.shutdown(14.0, ShutdownReason.PAYMENT_FRAUD, as_fraud=True)
-        assert adv.lifetime_from_registration() == pytest.approx(4.0)
-        assert adv.lifetime_from_first_ad() == pytest.approx(3.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,64 +1,8 @@
-"""Tests for ads, campaigns, keyword bids and domain generation."""
+"""Tests for domain generation."""
 
 import numpy as np
-import pytest
 
-from repro.entities import (
-    Ad,
-    Campaign,
-    KeywordBid,
-    MatchType,
-    sample_domain_count,
-    shared_domains,
-    unique_domain,
-)
-from repro.taxonomy.adcopy import AdCopy
-
-
-class TestKeywordBid:
-    def test_phrase(self):
-        bid = KeywordBid(("weight", "loss"), MatchType.BROAD, 0.5, 1.0)
-        assert bid.phrase == "weight loss"
-
-    def test_empty_keyword_rejected(self):
-        with pytest.raises(ValueError):
-            KeywordBid((), MatchType.EXACT, 0.5, 1.0)
-
-    def test_nonpositive_bid_rejected(self):
-        with pytest.raises(ValueError):
-            KeywordBid(("a",), MatchType.EXACT, 0.0, 1.0)
-
-    def test_modification_counter(self):
-        bid = KeywordBid(("a",), MatchType.EXACT, 0.5, 1.0)
-        bid.record_modification()
-        bid.record_modification()
-        assert bid.modified_count == 2
-
-
-class TestAdAndCampaign:
-    def _ad(self, campaign_id=1):
-        return Ad(
-            ad_id=1,
-            campaign_id=campaign_id,
-            copy=AdCopy("t", "b"),
-            display_domain="x.com",
-            destination_domain="x.com",
-            created_day=0.0,
-        )
-
-    def test_campaign_rejects_foreign_ad(self):
-        campaign = Campaign(2, 1, "downloads", "US", 0.0)
-        with pytest.raises(ValueError):
-            campaign.add_ad(self._ad(campaign_id=1))
-
-    def test_campaign_accepts_own_ad(self):
-        campaign = Campaign(1, 1, "downloads", "US", 0.0)
-        campaign.add_ad(self._ad(campaign_id=1))
-        assert len(campaign.ads) == 1
-
-    def test_ad_engagement_validation(self):
-        with pytest.raises(ValueError):
-            Ad(1, 1, AdCopy("t", "b"), "x.com", "x.com", 0.0, engagement=0.0)
+from repro.entities import sample_domain_count, shared_domains, unique_domain
 
 
 class TestDomains:

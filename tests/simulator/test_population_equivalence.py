@@ -2,17 +2,22 @@
 
 :meth:`SimulationEngine.generate_population` (the batched materializer)
 must reproduce :meth:`SimulationEngine.generate_population_scalar`
-exactly on a same-seed engine: every account summary, every surviving
-entity, and -- the strongest invariant -- the bit state of all five
-named RNG streams after generation, which any skipped or reordered
-draw would break.
+exactly on a same-seed engine: every account summary, every account
+column, the pickled market, and -- the strongest invariant -- the bit
+state of all five named RNG streams after generation, which any skipped
+or reordered draw would break.
 """
+
+import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from repro.behavior import MaterializedAccount
 from repro.config import small_config
 from repro.simulator.engine import RNG_STREAMS, SimulationEngine
+from repro.simulator.market import MarketIndex
 
 
 def _generate(scalar: bool):
@@ -52,52 +57,12 @@ class TestPopulationEquivalence:
         (batched, _, _), (scalar, _, _) = populations
         assert len(batched) == len(scalar)
         for mine, theirs in zip(batched, scalar):
-            assert mine.activity_end == theirs.activity_end
-            assert mine.ad_mod_times == theirs.ad_mod_times
-            assert mine.kw_mod_times == theirs.kw_mod_times
-            mine_campaigns = mine.advertiser.campaigns
-            theirs_campaigns = theirs.advertiser.campaigns
-            assert len(mine_campaigns) == len(theirs_campaigns)
-            for got, want in zip(mine_campaigns, theirs_campaigns):
-                assert [
-                    (
-                        a.ad_id,
-                        a.copy,
-                        a.destination_domain,
-                        a.created_day,
-                        a.engagement,
-                        a.modified_count,
-                    )
-                    for a in got.ads
-                ] == [
-                    (
-                        a.ad_id,
-                        a.copy,
-                        a.destination_domain,
-                        a.created_day,
-                        a.engagement,
-                        a.modified_count,
-                    )
-                    for a in want.ads
-                ]
-                assert [
-                    (b.keyword, b.match_type, b.max_bid, b.created_day, b.modified_count)
-                    for b in got.bids
-                ] == [
-                    (b.keyword, b.match_type, b.max_bid, b.created_day, b.modified_count)
-                    for b in want.bids
-                ]
-            assert [
-                (o.vertical, o.country, o.ad.ad_id, o.kw_index, o.quality,
-                 o.click_quality, o.active_from)
-                for o in mine.offers
-            ] == [
-                (o.vertical, o.country, o.ad.ad_id, o.kw_index, o.quality,
-                 o.click_quality, o.active_from)
-                for o in theirs.offers
-            ]
+            for field in fields(MaterializedAccount):
+                name = field.name
+                assert getattr(mine, name) == getattr(theirs, name), name
 
-    def test_no_account_left_pending(self, populations):
-        """Every lazy account must have been finalized by its trim."""
-        (batched, _, _), _ = populations
-        assert all(account.pending is None for account in batched)
+    def test_markets_byte_identical(self, populations):
+        (batched, _, _), (scalar, _, _) = populations
+        assert pickle.dumps(MarketIndex(batched)) == pickle.dumps(
+            MarketIndex(scalar)
+        )
