@@ -13,10 +13,14 @@ import argparse
 import sys
 from pathlib import Path
 
+from .. import obs
 from ..config import default_config, small_config
+from ..errors import ReproError
 from ..plotting.series import export_series_csv
 from .base import ExperimentContext
 from .registry import EXPERIMENTS, experiment_ids, run_experiment
+
+log = obs.get_logger("experiments.cli")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -45,6 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         help="directory to export each chart's series as CSV",
     )
     args = parser.parse_args(argv)
+    obs.setup_logging()
 
     requested = (
         experiment_ids()
@@ -55,21 +60,27 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
 
-    if args.small:
-        config = small_config() if args.seed is None else small_config(seed=args.seed)
-    else:
-        config = (
-            default_config() if args.seed is None else default_config(seed=args.seed)
-        )
-    context = ExperimentContext(config)
-    for experiment_id in requested:
-        output = run_experiment(experiment_id, context)
-        print(output.render())
-        if args.export is not None:
-            args.export.mkdir(parents=True, exist_ok=True)
-            for index, chart in enumerate(output.charts):
-                path = args.export / f"{experiment_id}_chart{index}.csv"
-                export_series_csv(chart.as_series(), path)
+    # A bad seed, a failed simulation or an unwritable --export
+    # directory exits 2 with one error line, like the other CLIs.
+    try:
+        if args.small:
+            config = small_config() if args.seed is None else small_config(seed=args.seed)
+        else:
+            config = (
+                default_config() if args.seed is None else default_config(seed=args.seed)
+            )
+        context = ExperimentContext(config)
+        for experiment_id in requested:
+            output = run_experiment(experiment_id, context)
+            print(output.render())
+            if args.export is not None:
+                args.export.mkdir(parents=True, exist_ok=True)
+                for index, chart in enumerate(output.charts):
+                    path = args.export / f"{experiment_id}_chart{index}.csv"
+                    export_series_csv(chart.as_series(), path)
+    except (ReproError, OSError) as exc:
+        log.error("%s", exc)
+        return 2
     return 0
 
 

@@ -1,13 +1,14 @@
-"""repro.obs: structured tracing, metrics, and run telemetry.
+"""repro.obs: structured tracing, counters, and run telemetry.
 
 A zero-dependency observability layer threaded through the whole
-simulation stack:
+simulation stack.  It records three kinds of thing -- spans, point
+events and counters:
 
-* **spans** (:mod:`~repro.obs.trace`) -- context-manager/decorator
-  timing with monotonic clocks and parent/child nesting;
-* **metrics** (:mod:`~repro.obs.metrics`) -- counters, gauges, and
-  fixed-bucket histograms with module-level handles cheap enough for
-  hot loops;
+* **spans** (:mod:`~repro.obs.trace`) -- context-manager timing with
+  monotonic clocks and parent/child nesting, plus point events
+  (heartbeats, checkpoints, faults);
+* **counters** (:mod:`~repro.obs.metrics`) -- module-level handles
+  cheap enough for hot loops, published as cumulative snapshots;
 * **sinks** (:mod:`~repro.obs.sink`) -- none attached by default; an
   in-memory sink for tests and benches, and a crash-safe JSONL file
   sink the checkpoint runner writes into its run directory (CLI
@@ -15,7 +16,7 @@ simulation stack:
 * **profiling** (:mod:`~repro.obs.profile`) -- opt-in per-phase
   cProfile dumps via ``REPRO_PROFILE=1``;
 * **reporting** -- ``python -m repro.obs report <run-dir>`` renders
-  ``telemetry.jsonl`` into a phase-tree timing table and metric
+  ``telemetry.jsonl`` into a phase-tree timing table and counter
   summary (:mod:`~repro.obs.report`);
 * **comparison and analysis** -- the read side: cross-run diffs of the
   day ledger, validation and counters (:mod:`~repro.obs.diff`) and
@@ -25,7 +26,7 @@ simulation stack:
   import-light for the engine's hot path.
 
 The package-level functions (:func:`span`, :func:`event`,
-:func:`counter`, ...) operate on one process-global tracer and metrics
+:func:`counter`, ...) operate on one process-global tracer and counter
 registry, which is what the instrumented modules use.  The hard
 invariant: nothing in this layer ever touches the named RNG streams,
 so a fully traced run is bit-identical to an untraced one.
@@ -33,19 +34,11 @@ so a fully traced run is bit-identical to an untraced one.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
 
 from .logsetup import LOG_LEVEL_ENV, get_logger, setup_logging
-from .metrics import (
-    DEFAULT_SIZE_BUCKETS,
-    DEFAULT_TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from .metrics import Counter, MetricsRegistry
 from .profile import PROFILE_ENV, maybe_profile, profiling_enabled
 from .progress import PROGRESS_NAME, ProgressSink, load_progress
 from .resources import ResourceSampler
@@ -56,8 +49,6 @@ from .trace import Span, Tracer
 __all__ = [
     "Counter",
     "DayLedger",
-    "Gauge",
-    "Histogram",
     "JsonlSink",
     "MemorySink",
     "MetricsRegistry",
@@ -67,9 +58,7 @@ __all__ = [
     "Span",
     "Tracer",
     "DAYLEDGER_NAME",
-    "DEFAULT_SIZE_BUCKETS",
-    "DEFAULT_TIME_BUCKETS",
-    "HEARTBEAT_ENV",
+    "HEARTBEAT_EVERY",
     "LOG_LEVEL_ENV",
     "PROFILE_ENV",
     "PROGRESS_NAME",
@@ -79,10 +68,7 @@ __all__ = [
     "counter",
     "dayledger",
     "event",
-    "gauge",
     "get_logger",
-    "heartbeat_every",
-    "histogram",
     "load_progress",
     "maybe_profile",
     "metrics",
@@ -93,13 +79,12 @@ __all__ = [
     "set_dayledger",
     "setup_logging",
     "span",
-    "trace",
     "tracer",
 ]
 
-#: Days between progress heartbeat events in the engine's day loops.
-HEARTBEAT_ENV = "REPRO_OBS_HEARTBEAT_EVERY"
-DEFAULT_HEARTBEAT_EVERY = 25
+#: Days between progress heartbeat events in the engine's day loops
+#: (read when a loop starts; 0 disables them).
+HEARTBEAT_EVERY = 25
 
 _TRACER = Tracer()
 _METRICS = MetricsRegistry()
@@ -145,11 +130,6 @@ def span(name: str, **attrs):
     return _TRACER.span(name, **attrs)
 
 
-def trace(name: str | None = None):
-    """Decorator form of :func:`span` on the global tracer."""
-    return _TRACER.trace(name)
-
-
 def event(name: str, **attrs) -> None:
     """Emit a point event on the global tracer."""
     _TRACER.event(name, **attrs)
@@ -158,18 +138,6 @@ def event(name: str, **attrs) -> None:
 def counter(name: str) -> Counter:
     """Get-or-create a counter in the global registry."""
     return _METRICS.counter(name)
-
-
-def gauge(name: str) -> Gauge:
-    """Get-or-create a gauge in the global registry."""
-    return _METRICS.gauge(name)
-
-
-def histogram(
-    name: str, buckets: tuple[float, ...] = DEFAULT_TIME_BUCKETS
-) -> Histogram:
-    """Get-or-create a fixed-bucket histogram in the global registry."""
-    return _METRICS.histogram(name, buckets)
 
 
 def add_sink(sink: Sink) -> None:
@@ -193,56 +161,18 @@ def capture() -> Iterator[MemorySink]:
         _TRACER.remove_sink(sink)
 
 
+def _publish(kind: str, data: dict) -> None:
+    """Emit one ``{"t", "kind", "data"}`` envelope to the attached sinks."""
+    _TRACER.emit({"t": round(_TRACER.now(), 6), "kind": kind, "data": data})
+
+
 def publish_metrics() -> None:
-    """Emit a cumulative metrics snapshot event to the attached sinks."""
+    """Emit a cumulative counter snapshot event to the attached sinks."""
     if _TRACER.sinks:
-        _TRACER.emit(
-            {
-                "t": round(_TRACER.now(), 6),
-                "kind": "metrics",
-                "data": _METRICS.snapshot(),
-            }
-        )
+        _publish("metrics", _METRICS.snapshot())
 
 
 def publish_resources(summary: dict) -> None:
     """Emit a resource-envelope event (see :mod:`repro.obs.resources`)."""
     if _TRACER.sinks:
-        _TRACER.emit(
-            {
-                "t": round(_TRACER.now(), 6),
-                "kind": "resources",
-                "data": summary,
-            }
-        )
-
-
-#: Malformed ``REPRO_OBS_HEARTBEAT_EVERY`` values already warned about
-#: (one warning per distinct value, not one per day loop).
-_HEARTBEAT_WARNED: set[str] = set()
-
-
-def heartbeat_every() -> int:
-    """Day interval between heartbeat events (0 disables them).
-
-    Read from ``REPRO_OBS_HEARTBEAT_EVERY`` on every call so tests and
-    long-lived processes can adjust it.  A malformed value falls back
-    to the clamped default with a warning (once per distinct value) --
-    a typo in a telemetry knob must never abort a simulation -- and
-    negative values clamp to 0 (disabled).
-    """
-    raw = os.environ.get(HEARTBEAT_ENV)
-    if raw is None:
-        return DEFAULT_HEARTBEAT_EVERY
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        if raw not in _HEARTBEAT_WARNED:
-            _HEARTBEAT_WARNED.add(raw)
-            get_logger("obs").warning(
-                "%s=%r is not an integer; using the default of %d days",
-                HEARTBEAT_ENV,
-                raw,
-                DEFAULT_HEARTBEAT_EVERY,
-            )
-        return DEFAULT_HEARTBEAT_EVERY
+        _publish("resources", summary)

@@ -33,8 +33,10 @@ import sys
 import time
 from pathlib import Path
 
+from ..records.atomic import atomic_write_text
 from .logsetup import get_logger, setup_logging
 from .report import load_events, render_report, report_json, report_path
+from .timeseries import ANALYZE_NAME
 
 log = get_logger("obs.cli")
 
@@ -65,8 +67,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         document = report_json(events, source=path)
         text = json.dumps(document, indent=2, sort_keys=True)
         if args.out is not None:
-            from ..records.atomic import atomic_write_text
-
             atomic_write_text(args.out, text + "\n")
             _print(f"wrote report -> {args.out}")
         else:
@@ -141,20 +141,13 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     if args.out is not None and not args.json:
         log.error("--out requires --json")
         return 2
-    try:
-        data_a = load_run(args.run_a)
-        data_b = load_run(args.run_b)
-    except FileNotFoundError as exc:
-        log.error("%s", exc)
-        return 2
-    diff = diff_runs(data_a, data_b)
+    # A missing run directory (FileNotFoundError) exits 2 in main().
+    diff = diff_runs(load_run(args.run_a), load_run(args.run_b))
     violations = evaluate_fail_on(diff, rules)
     if args.json:
         document = diff_json(diff, rules=rules or None, violations=violations)
         text = json.dumps(document, indent=2, sort_keys=True)
         if args.out is not None:
-            from ..records.atomic import atomic_write_text
-
             atomic_write_text(args.out, text + "\n")
             _print(f"wrote diff -> {args.out}")
         else:
@@ -174,9 +167,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from ..records.atomic import atomic_write_text
     from .analyze import (
-        ANALYZE_NAME,
         analysis_json,
         analysis_to_text,
         analyze_run,
@@ -189,9 +180,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except ValueError as exc:
         log.error("%s", exc)
         return 2
+    # A missing ledger (FileNotFoundError) exits 2 in main().
     try:
         document = analyze_run(args.run_dir)
-    except (FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:
         log.error("%s", exc)
         return 2
     out = args.out
@@ -333,7 +325,12 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     setup_logging()
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # An unreadable input or an unwritable --out: one error line.
+        log.error("%s", exc)
+        return 2
 
 
 if __name__ == "__main__":

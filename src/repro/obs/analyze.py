@@ -53,7 +53,9 @@ from pathlib import Path
 
 from .diff import parse_fail_on
 from .timeseries import (
+    ANALYZE_NAME,
     DAYLEDGER_NAME,
+    POLICY_KEY_SERIES,
     POLICY_WINDOW_DAYS,
     load_rows,
     policy_days,
@@ -75,8 +77,6 @@ __all__ = [
     "analysis_to_text",
 ]
 
-#: Analysis artifact name inside a run directory.
-ANALYZE_NAME = "analyze.json"
 ANALYZE_SCHEMA = "repro.analyze/v1"
 
 #: Robust z-score above which a day is a point anomaly.  3.5 is the
@@ -402,16 +402,9 @@ def analysis_to_text(document: dict, source: str | Path | None = None) -> str:
             f"policy effects (±{POLICY_WINDOW_DAYS}d window means, "
             f"matching repro.obs diff):"
         )
-        key_series = (
-            "shutdowns.policy_change",
-            "fraud_click_share",
-            "fraud_spend_share",
-            "registrations_fraud",
-            "spend",
-        )
         for day, per_series in effects.items():
             lines.append(f"  day {day}:")
-            for name in key_series:
+            for name in POLICY_KEY_SERIES:
                 effect = per_series.get(name)
                 if effect is None:
                     continue

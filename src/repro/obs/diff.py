@@ -51,6 +51,7 @@ from pathlib import Path
 from .report import last_metrics, load_events, report_path
 from .timeseries import (
     DAYLEDGER_NAME,
+    POLICY_KEY_SERIES,
     POLICY_WINDOW_DAYS,
     load_rows,
     policy_days,
@@ -75,6 +76,10 @@ DIFF_SCHEMA = "repro.diff/v3"
 
 VALIDATION_JSON_NAME = "validation.json"
 VALIDATION_REPORT_NAME = "validation_report.txt"
+
+#: Series the text diff lists even when they do not diverge; past
+#: this many, identical series are summarized in one line.
+TOP_SERIES = 12
 
 #: ``[ok  ] name ... measured: 1.234 (...)`` -- the stable line format
 #: of ``validation_report.txt``, the fallback when no JSON payload was
@@ -422,7 +427,7 @@ def diff_json(
     return document
 
 
-def render_diff(diff: RunDiff, top_series: int = 12) -> str:
+def render_diff(diff: RunDiff) -> str:
     """Human-readable diff report."""
     lines = [f"run diff: {diff.a.path}  vs  {diff.b.path}", ""]
 
@@ -451,7 +456,7 @@ def render_diff(diff: RunDiff, top_series: int = 12) -> str:
         )
         shown = 0
         for name, divergence in ranked:
-            if shown >= top_series and divergence == 0.0:
+            if shown >= TOP_SERIES and divergence == 0.0:
                 break
             lines.append(f"  {name:<28} {divergence:.4g}")
             shown += 1
@@ -467,21 +472,15 @@ def render_diff(diff: RunDiff, top_series: int = 12) -> str:
             f"policy-change windows (+/-{POLICY_WINDOW_DAYS}d means, "
             f"pre -> post):"
         )
-        key_series = (
-            "fraud_click_share",
-            "fraud_spend_share",
-            "registrations_fraud",
-            "spend",
-        )
         for day, per_series in diff.policy_windows.items():
             lines.append(f"  day {day}:")
-            for name in key_series:
+            for name in POLICY_KEY_SERIES:
                 windows = per_series.get(name)
                 if windows is None:
                     continue
                 (pa, qa), (pb, qb) = windows["a"], windows["b"]
                 lines.append(
-                    f"    {name:<22} a: {pa:.4g} -> {qa:.4g}   "
+                    f"    {name:<24} a: {pa:.4g} -> {qa:.4g}   "
                     f"b: {pb:.4g} -> {qb:.4g}"
                 )
 

@@ -1,6 +1,6 @@
 """Render a run's ``telemetry.jsonl`` into a human-readable report.
 
-The report has three sections:
+The report has four sections:
 
 * **span tree** -- every span aggregated by its name-path (the chain
   of ancestor span names), rendered as an indented timing table with
@@ -8,8 +8,9 @@ The report has three sections:
   minus the totals of the direct child paths (time no child span covers);
 * **events** -- point events (checkpoints, heartbeats, faults)
   aggregated by name, with the attributes of the last occurrence;
-* **metrics** -- the *last* metrics snapshot in the file (snapshots
-  are cumulative, so the last one is the run's final state);
+* **metrics** -- the counters of the *last* metrics snapshot in the
+  file (snapshots are cumulative, so the last one is the run's final
+  state);
 * **resources** -- the resource envelope (peak/mean RSS, CPU
   utilization, GC pauses per phase) when the run recorded one
   (:mod:`~repro.obs.resources`).
@@ -150,55 +151,42 @@ def _render_span_tree(aggregated: dict[tuple[str, ...], dict]) -> list[str]:
     return lines
 
 
-def _render_events(events: list[dict]) -> list[str]:
-    point_events = [e for e in events if e.get("kind") == "event"]
-    if not point_events:
-        return []
+def _events_by_name(events: list[dict]) -> dict[str, dict]:
+    """Point events grouped by name, names sorted:
+    ``{name: {"count", "last_attrs"}}``."""
     by_name: dict[str, dict] = {}
-    for event in point_events:
+    for event in events:
+        if event.get("kind") != "event":
+            continue
         name = str(event.get("name", "?"))
-        record = by_name.setdefault(name, {"count": 0, "last": {}})
+        record = by_name.setdefault(name, {"count": 0, "last_attrs": {}})
         record["count"] += 1
-        record["last"] = event.get("attrs") or {}
+        record["last_attrs"] = event.get("attrs") or {}
+    return dict(sorted(by_name.items()))
+
+
+def _render_events(events: list[dict]) -> list[str]:
+    by_name = _events_by_name(events)
+    if not by_name:
+        return []
     lines = ["events:"]
-    for name in sorted(by_name):
-        record = by_name[name]
-        last = ", ".join(f"{k}={v}" for k, v in record["last"].items())
+    for name, record in by_name.items():
+        last = ", ".join(f"{k}={v}" for k, v in record["last_attrs"].items())
         suffix = f"  (last: {last})" if last else ""
         lines.append(f"  {name} x{record['count']}{suffix}")
     return lines
 
 
 def _render_metrics(events: list[dict]) -> list[str]:
-    snapshot = last_metrics(events)
-    if not snapshot:
+    # Snapshots from older runs also hold gauges and histograms; only
+    # their counters render.
+    counters = (last_metrics(events) or {}).get("counters") or {}
+    if not counters:
         return []
-    lines = ["metrics (last snapshot):"]
-    counters = snapshot.get("counters") or {}
-    gauges = snapshot.get("gauges") or {}
-    histograms = snapshot.get("histograms") or {}
-    width = max(
-        (len(name) for name in (*counters, *gauges, *histograms)), default=4
-    )
-    if counters:
-        lines.append("  counters:")
-        for name, value in counters.items():
-            lines.append(f"    {name:<{width}}  {value:>14,}")
-    if gauges:
-        lines.append("  gauges:")
-        for name, value in gauges.items():
-            lines.append(f"    {name:<{width}}  {value:>14,.1f}")
-    if histograms:
-        lines.append("  histograms:")
-        for name, data in histograms.items():
-            count = data.get("count", 0)
-            total = data.get("sum", 0.0)
-            mean = total / count if count else 0.0
-            lines.append(
-                f"    {name:<{width}}  count={count} sum={total:.3f} "
-                f"mean={mean:.4f}"
-            )
-    return lines
+    width = max(len(name) for name in counters)
+    return ["metrics (last snapshot):", "  counters:"] + [
+        f"    {name:<{width}}  {value:>14,}" for name, value in counters.items()
+    ]
 
 
 def last_metrics(events: list[dict]) -> dict | None:
@@ -252,7 +240,8 @@ def report_json(
 
     Same content as :func:`render_report`: the aggregated span tree
     (name-paths joined with ``/``), event counts with last attrs, the
-    final metrics snapshot, and the resource envelope when recorded.
+    final metrics snapshot as the run recorded it, and the resource
+    envelope when recorded.
     """
     aggregated = aggregate_spans(events)
     self_s = _self_times(aggregated)
@@ -269,20 +258,12 @@ def report_json(
                 "max_s": round(record["max"], 6),
             }
         )
-    by_name: dict[str, dict] = {}
-    for event in events:
-        if event.get("kind") != "event":
-            continue
-        name = str(event.get("name", "?"))
-        record = by_name.setdefault(name, {"count": 0, "last_attrs": {}})
-        record["count"] += 1
-        record["last_attrs"] = event.get("attrs") or {}
     return {
         "schema": REPORT_SCHEMA,
         "source": str(source) if source is not None else None,
         "events": len(events),
         "spans": spans,
-        "events_by_name": {name: by_name[name] for name in sorted(by_name)},
+        "events_by_name": _events_by_name(events),
         "metrics": last_metrics(events),
         "resources": last_resources(events),
     }

@@ -49,10 +49,6 @@ class Sink:
     def flush(self) -> None:
         """Persist buffered events (no-op for unbuffered sinks)."""
 
-    def close(self) -> None:
-        """Flush and release resources."""
-        self.flush()
-
 
 class MemorySink(Sink):
     """Collects events in a list -- for tests and the bench harness."""
@@ -68,12 +64,12 @@ class JsonlSink(Sink):
     """Durable JSONL sink with atomic whole-file flushes (see module
     docstring for the crash-safety and resume contract)."""
 
-    def __init__(self, path: str | Path, load_existing: bool = True) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lines: list[str] = []
         self._dirty = False
         self._id_offset = 0
-        if load_existing and self.path.exists():
+        if self.path.exists():
             for line in self.path.read_text().splitlines():
                 line = line.strip()
                 if not line:

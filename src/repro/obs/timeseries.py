@@ -65,8 +65,10 @@ import json
 from pathlib import Path
 
 __all__ = [
+    "ANALYZE_NAME",
     "DAYLEDGER_NAME",
     "LEDGER_SERIES",
+    "POLICY_KEY_SERIES",
     "POLICY_WINDOW_DAYS",
     "DayLedger",
     "load_rows",
@@ -76,10 +78,24 @@ __all__ = [
 #: Ledger file name inside a checkpoint-runner run directory.
 DAYLEDGER_NAME = "dayledger.jsonl"
 
+#: File ``python -m repro.obs analyze`` writes next to the ledger
+#: (:mod:`repro.obs.analyze`).
+ANALYZE_NAME = "analyze.json"
+
 #: Days on each side of a policy change over which window means are
 #: computed (four weeks -- matches the paper's quarter-scale framing of
 #: the Year-2 regime shift without washing it out).
 POLICY_WINDOW_DAYS = 28
+
+#: The series the text diff and the analysis summary print around a
+#: policy day (the JSON documents carry every series).
+POLICY_KEY_SERIES = (
+    "shutdowns.policy_change",
+    "fraud_click_share",
+    "fraud_spend_share",
+    "registrations_fraud",
+    "spend",
+)
 
 #: Integer accumulators fed during Phase 3 (market/auction sourced).
 _MARKET_INT_FIELDS = (
@@ -102,8 +118,7 @@ _MARKET_FLOAT_FIELDS = (
 
 #: Every per-day numeric series a ledger row exposes (diffable set).
 #: ``shutdowns`` is a nested ``{stage: count}`` map and is flattened to
-#: ``shutdowns.<stage>`` series by :meth:`DayLedger.series` and the
-#: diff layer.
+#: ``shutdowns.<stage>`` series by :func:`rows_to_series`.
 LEDGER_SERIES: tuple[str, ...] = (
     "registrations_legit",
     "registrations_fraud",
@@ -251,11 +266,6 @@ class DayLedger:
                 )
             merged.append(row)
         return merged
-
-    def series(self) -> dict[str, list[float]]:
-        """Per-series day-indexed values (``shutdowns`` flattened to
-        ``shutdowns.<stage>``); days with no market row yield 0."""
-        return rows_to_series(self.rows())
 
     def to_jsonl(self) -> str:
         """Canonical JSONL text (sorted keys, compact separators)."""

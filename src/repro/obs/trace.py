@@ -1,11 +1,12 @@
 """Zero-dependency span tracer.
 
 A :class:`Tracer` measures named spans of work with a monotonic clock
-(:func:`time.perf_counter` by default), nests them parent/child via a
-span stack, and emits one structured event per *finished* span to every
-attached sink.  With no sinks attached, spans still time themselves but
-nothing is built or emitted -- the instrumentation left permanently in
-the hot paths costs a couple of clock reads per span.
+(:func:`time.perf_counter`), nests them parent/child via a span stack,
+and emits one structured event per *finished* span -- plus one per
+point event (:meth:`Tracer.event`) -- to every attached sink.  Spans
+are context managers only.  With no sinks attached, spans still time
+themselves but nothing is built or emitted -- the instrumentation left
+permanently in the hot paths costs a couple of clock reads per span.
 
 The hard invariant of the whole ``repro.obs`` layer is enforced here by
 construction: tracing **never touches the named RNG streams**.  Span
@@ -30,8 +31,7 @@ import itertools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import wraps
-from typing import Callable, Iterator
+from typing import Iterator
 
 __all__ = ["Span", "Tracer"]
 
@@ -47,20 +47,12 @@ class Span:
     attrs: dict = field(default_factory=dict)
     end: float | None = None
 
-    @property
-    def duration(self) -> float | None:
-        """Seconds from start to end, or ``None`` while still open."""
-        if self.end is None:
-            return None
-        return self.end - self.start
-
 
 class Tracer:
-    """Context-manager/decorator spans with pluggable sinks."""
+    """Context-manager spans and point events with pluggable sinks."""
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self._clock = clock
-        self._epoch = clock()
+    def __init__(self) -> None:
+        self._epoch = time.perf_counter()
         self._ids = itertools.count(1)
         self._stack: list[Span] = []
         self._sinks: list = []
@@ -69,7 +61,7 @@ class Tracer:
 
     def now(self) -> float:
         """Monotonic seconds since this tracer was created."""
-        return self._clock() - self._epoch
+        return time.perf_counter() - self._epoch
 
     # -- sink management -----------------------------------------------
 
@@ -99,10 +91,6 @@ class Tracer:
             sink.emit(payload)
 
     # -- spans and events ----------------------------------------------
-
-    def current_span(self) -> Span | None:
-        """The innermost open span, or ``None`` outside any span."""
-        return self._stack[-1] if self._stack else None
 
     @contextmanager
     def span(self, name: str, **attrs) -> Iterator[Span]:
@@ -139,22 +127,6 @@ class Tracer:
                         "attrs": record.attrs,
                     }
                 )
-
-    def trace(self, name: str | None = None):
-        """Decorator form of :meth:`span` (span name defaults to the
-        function's qualified name)."""
-
-        def decorate(fn):
-            label = name if name is not None else fn.__qualname__
-
-            @wraps(fn)
-            def wrapper(*args, **kwargs):
-                with self.span(label):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
 
     def event(self, name: str, **attrs) -> None:
         """Emit a point-in-time event (heartbeats, checkpoints, faults)."""

@@ -36,8 +36,8 @@ def main(argv: list[str] | None = None) -> int:
         config = (
             default_config() if args.seed is None else default_config(seed=args.seed)
         )
-    args.output_dir.mkdir(parents=True, exist_ok=True)
     try:
+        args.output_dir.mkdir(parents=True, exist_ok=True)
         result = cached_simulation(config)
 
         customers = args.output_dir / "customers.jsonl"
@@ -46,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
         n_customers = write_records_jsonl(result.customer_records(), customers)
         n_detections = write_records_jsonl(result.detections, detections)
         write_impressions_csv(result.impressions, impressions)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         log.error("%s", exc)
         return 2
     print(f"{n_customers} customer records -> {customers}")

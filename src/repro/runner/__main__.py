@@ -82,9 +82,10 @@ def _main_run(argv: list[str]) -> int:
     # Monotonic clock (the tracer's): wall-clock steps from NTP slew
     # must not corrupt the reported elapsed time.
     started = obs.tracer().now()
+    # Config validation raises ConfigError (a ReproError) from
+    # __post_init__, so a bad --seed/--days exits 2 like any other; an
+    # OSError (an unwritable run directory or report path) does too.
     try:
-        # Config validation raises ConfigError (a ReproError) from
-        # __post_init__, so a bad --seed/--days exits 2 like any other.
         config = small_config() if args.small else default_config()
         if args.seed is not None:
             config = replace(config, seed=args.seed)
@@ -96,39 +97,40 @@ def _main_run(argv: list[str]) -> int:
             checkpoint_every=args.checkpoint_every,
         )
         result = runner.run(resume=args.resume)
-    except ReproError as exc:
+        elapsed = obs.tracer().now() - started
+        print(
+            f"simulated {config.days} days in {elapsed:.0f}s "
+            f"(run dir: {args.checkpoint_dir})"
+        )
+        print(
+            f"{len(result.accounts)} accounts, "
+            f"{len(result.impressions)} impression rows, "
+            f"{len(result.detections)} detections"
+        )
+        if args.report is not None:
+            import json
+
+            from ..validation import checks_to_json, render_report, run_validation
+
+            try:
+                checks = run_validation(result)
+            except ReproError as exc:
+                log.error("validation failed: %s", exc)
+                return 2
+            # Machine-readable twin in the run directory, where
+            # `repro.obs diff` looks for it.  Written first: the run
+            # directory is known writable, the report path is not.
+            validation_json = args.checkpoint_dir / "validation.json"
+            atomic_write_text(
+                validation_json,
+                json.dumps(checks_to_json(checks), indent=2) + "\n",
+            )
+            print(f"wrote {validation_json}")
+            atomic_write_text(args.report, render_report(checks) + "\n")
+            print(f"wrote {args.report}")
+    except (ReproError, OSError) as exc:
         log.error("%s", exc)
         return 2
-    elapsed = obs.tracer().now() - started
-    print(
-        f"simulated {config.days} days in {elapsed:.0f}s "
-        f"(run dir: {args.checkpoint_dir})"
-    )
-    print(
-        f"{len(result.accounts)} accounts, "
-        f"{len(result.impressions)} impression rows, "
-        f"{len(result.detections)} detections"
-    )
-    if args.report is not None:
-        import json
-
-        from ..validation import checks_to_json, render_report, run_validation
-
-        try:
-            checks = run_validation(result)
-            report = render_report(checks)
-        except ReproError as exc:
-            log.error("validation failed: %s", exc)
-            return 2
-        atomic_write_text(args.report, report + "\n")
-        print(f"wrote {args.report}")
-        # Machine-readable twin in the run directory, where
-        # `repro.obs diff` looks for it.
-        validation_json = args.checkpoint_dir / "validation.json"
-        atomic_write_text(
-            validation_json, json.dumps(checks_to_json(checks), indent=2) + "\n"
-        )
-        print(f"wrote {validation_json}")
     return 0
 
 
@@ -145,7 +147,7 @@ def _main_verify(argv: list[str]) -> int:
 
     try:
         report = verify_run(args.run_dir)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         log.error("%s", exc)
         return 2
     print(render_verify(report))
@@ -179,7 +181,7 @@ def _main_doctor(argv: list[str]) -> int:
                 print("run `doctor --repair` to quarantine and re-simulate")
             return 0 if report.ok else 1
         repair = repair_run(args.run_dir)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         log.error("%s", exc)
         return 2
     print(render_repair(repair))

@@ -79,9 +79,6 @@ class ChunkEntry:
     #: restoring them resumes the simulation at ``day_end`` exactly.
     rng_after: dict
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, payload: dict) -> "ChunkEntry":
         try:
@@ -162,9 +159,13 @@ class RunManifest:
         return self.phase3_start_rng
 
     def to_json(self) -> str:
-        payload = dataclasses.asdict(self)
-        payload["chunks"] = [chunk.to_dict() for chunk in self.chunks]
-        return json.dumps(payload, sort_keys=True, indent=1)
+        """Compact, key-sorted JSON; each field is encoded once, with no
+        intermediate copy (every checkpoint rewrites the whole manifest)."""
+        return json.dumps(
+            dict(vars(self), chunks=[vars(chunk) for chunk in self.chunks]),
+            sort_keys=True,
+            separators=(",", ":"),
+        )
 
     def save(self, path: str | Path) -> None:
         """Atomically persist the manifest."""

@@ -86,6 +86,7 @@ __all__ = [
     "MARKET_NAME",
     "TELEMETRY_NAME",
     "DAYLEDGER_NAME",
+    "build_phase1",
     "snapshot_bytes",
 ]
 
@@ -118,6 +119,21 @@ def snapshot_bytes(
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     return phase1, pickle.dumps(market, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def build_phase1(
+    engine: SimulationEngine, on_day_complete=None
+) -> tuple[list[AccountSummary], list[DetectionRecord], MarketIndex]:
+    """Phases 1 and 2 from the engine's seed: the account summaries,
+    the detection records and the market, which is what
+    :func:`snapshot_bytes` stores.  The runner and the doctor's full
+    replay both build them here."""
+    accounts, summaries = engine.generate_population(
+        on_day_complete=on_day_complete
+    )
+    with obs.span("phase2.market", accounts=len(accounts)):
+        market = MarketIndex(accounts)
+    return summaries, engine.pipeline.records, market
 
 
 class CheckpointRunner:
@@ -385,11 +401,7 @@ class CheckpointRunner:
         def on_day(day: int) -> None:
             self._faults.fire("phase1:day", day=day, runner=self)
 
-        accounts, summaries = engine.generate_population(on_day_complete=on_day)
-        with obs.span("phase2.market", accounts=len(accounts)):
-            market = MarketIndex(accounts)
-
-        records = engine.pipeline.records
+        summaries, records, market = build_phase1(engine, on_day_complete=on_day)
         phase1_blob, market_blob = snapshot_bytes(summaries, records, market)
         atomic_write_bytes(self.phase1_path, phase1_blob)
         atomic_write_bytes(self.market_path, market_blob)

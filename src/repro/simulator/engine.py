@@ -84,7 +84,7 @@ RNG_STREAMS: tuple[str, ...] = (
 #: campaigns) -- keeps the active population roughly stationary.
 LEGIT_DORMANCY_MEAN_DAYS = 300.0
 
-# Observability handles (repro.obs).  Counter/gauge bumps are plain
+# Observability handles (repro.obs).  Counter bumps are plain
 # attribute adds and never touch the named RNG streams; spans use the
 # monotonic clock only.  A traced run is bit-identical to an untraced
 # one -- tests/obs/test_determinism.py pins that invariant.
@@ -93,9 +93,6 @@ _QUERIES_SAMPLED = obs.counter("auction.queries_sampled")
 _CANDIDATES_GATHERED = obs.counter("auction.candidates_gathered")
 _CLICK_DRAWS = obs.counter("clicks.poisson_draws")
 _CLICKS_DRAWN = obs.counter("clickmodel.clicks_drawn")
-_DAY_ROWS = obs.histogram("auction.day_rows", obs.DEFAULT_SIZE_BUCKETS)
-_ROWS_PER_S = obs.gauge("auction.rows_per_s")
-_ACCOUNTS_PER_S = obs.gauge("population.accounts_per_s")
 #: Days after a policy ban before new fraud entrants stop choosing the
 #: banned vertical (word gets around the affiliate forums).
 POLICY_LEARNING_LAG_DAYS = 30.0
@@ -430,7 +427,7 @@ class SimulationEngine:
         ends: list[float] = []
         built: list[bool] = []
         mode = "horizon" if materializer is None else "scalar"
-        heartbeat = obs.heartbeat_every()
+        heartbeat = obs.HEARTBEAT_EVERY
         tracer = obs.tracer()
         # Nearly everything allocated here is either retained for the
         # whole run (account columns, summaries) or freed promptly by
@@ -466,8 +463,6 @@ class SimulationEngine:
                             throughput = _day_throughput(
                                 day + 1, config.days, elapsed
                             )
-                            if elapsed > 0:
-                                _ACCOUNTS_PER_S.set(len(accounts) / elapsed)
                             obs.event(
                                 "heartbeat",
                                 phase="phase1",
@@ -575,7 +570,7 @@ class SimulationEngine:
         auction_config = config.auction
         exam_table = examination_table(config.click, auction_config.total_slots)
         index = eligibility_index()
-        heartbeat = obs.heartbeat_every()
+        heartbeat = obs.HEARTBEAT_EVERY
         tracer = obs.tracer()
         # The builder may be drained mid-loop (checkpoint chunks), so
         # progress is tracked off the cumulative rows counter instead.
@@ -600,8 +595,6 @@ class SimulationEngine:
                     throughput = _day_throughput(
                         day + 1 - start_day, end_day - start_day, elapsed
                     )
-                    if elapsed > 0:
-                        _ROWS_PER_S.set(rows / elapsed)
                     obs.event(
                         "heartbeat",
                         phase="phase3",
@@ -705,7 +698,6 @@ class SimulationEngine:
         _CLICK_DRAWS.inc(int(positive.size))
         _CLICKS_DRAWN.inc(float(clicks.sum()))
         _ROWS_EMITTED.inc(len(lam))
-        _DAY_ROWS.observe(len(lam))
         spend = clicks * result.price
         if ledger is not None:
             # Pure reductions over arrays already computed for the

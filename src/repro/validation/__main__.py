@@ -19,7 +19,8 @@ from pathlib import Path
 
 from .. import obs
 from ..config import default_config, small_config
-from ..errors import ReproError
+from ..errors import ReproError, SimulationError
+from ..records.atomic import atomic_write_text
 from ..simulator.cache import cached_simulation
 from .suite import checks_to_json, render_report, run_validation
 
@@ -57,32 +58,25 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     obs.setup_logging()
-    if args.run_dir is not None:
-        if args.small or args.seed is not None:
-            parser.error("--run-dir takes its config from the manifest; "
-                         "drop --small/--seed")
-        return _validate_run_dir(args)
-    if args.small:
-        config = small_config() if args.seed is None else small_config(seed=args.seed)
-    else:
-        config = (
-            default_config() if args.seed is None else default_config(seed=args.seed)
-        )
+    if args.run_dir is not None and (args.small or args.seed is not None):
+        parser.error("--run-dir takes its config from the manifest; "
+                     "drop --small/--seed")
     # A failed simulation or validation run must exit 2 (mirroring the
     # runner CLI), not escape as a traceback: before this guard,
     # ``--strict`` in a shell pipeline could conflate "targets missed"
-    # with "validator crashed".
+    # with "validator crashed".  An unwritable ``--out`` exits 2 too.
     try:
-        result = cached_simulation(config)
+        if args.run_dir is not None:
+            result = _load_run_dir(args.run_dir)
+        else:
+            result = cached_simulation(_config(args))
         checks = run_validation(result)
-    except ReproError as exc:
+        payload = checks_to_json(checks)
+        if args.out is not None:
+            atomic_write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    except (ReproError, OSError) as exc:
         log.error("%s", exc)
         return 2
-    payload = checks_to_json(checks)
-    if args.out is not None:
-        from ..records.atomic import atomic_write_text
-
-        atomic_write_text(args.out, json.dumps(payload, indent=2) + "\n")
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -92,40 +86,27 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _validate_run_dir(args: argparse.Namespace) -> int:
-    """Validate the simulation a completed run directory durably holds."""
+def _config(args: argparse.Namespace):
+    if args.small:
+        return small_config() if args.seed is None else small_config(seed=args.seed)
+    return default_config() if args.seed is None else default_config(seed=args.seed)
+
+
+def _load_run_dir(run_dir: Path):
+    """The simulation a completed run directory durably holds."""
     from ..runner import CheckpointRunner, RunManifest
     from ..runner.manifest import MANIFEST_NAME
 
-    try:
-        manifest = RunManifest.load(args.run_dir / MANIFEST_NAME)
-        if manifest.phase != "complete":
-            log.error(
-                "%s: run is in phase %r; finish it before validating",
-                args.run_dir, manifest.phase,
-            )
-            return 2
-        # A completed run reloads read-only, without simulating a day:
-        # snapshots and chunks are checksum-verified and loaded, and no
-        # file in the run directory is written.
-        runner = CheckpointRunner(manifest.simulation_config(), args.run_dir)
-        result = runner.run(resume=True)
-        checks = run_validation(result)
-    except ReproError as exc:
-        log.error("%s", exc)
-        return 2
-    payload = checks_to_json(checks)
-    if args.out is not None:
-        from ..records.atomic import atomic_write_text
-
-        atomic_write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(render_report(checks))
-    if args.strict and any(not check.ok for check in checks):
-        return 1
-    return 0
+    manifest = RunManifest.load(run_dir / MANIFEST_NAME)
+    if manifest.phase != "complete":
+        raise SimulationError(
+            f"{run_dir}: run is in phase {manifest.phase!r}; finish it "
+            f"before validating"
+        )
+    # A completed run reloads read-only, without simulating a day:
+    # snapshots and chunks are checksum-verified and loaded, and no
+    # file in the run directory is written.
+    return CheckpointRunner(manifest.simulation_config(), run_dir).run(resume=True)
 
 
 if __name__ == "__main__":

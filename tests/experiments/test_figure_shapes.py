@@ -77,6 +77,10 @@ class TestFig7Shape:
             # Normalized by its own creation median.
             assert 0.4 < nonfraud.median < 2.5
 
+    def test_nonfraud_targets_several_times_more_keywords(self, context):
+        output = run_experiment("fig7", context)
+        assert output.metrics["nf_over_f_median_keywords"] > 3
+
 
 class TestFig9Shape:
     def test_fraud_heavier_on_broad(self, context):
@@ -143,6 +147,11 @@ class TestFig17Shape:
         factor = output.metrics.get("f_cpc_increase_factor")
         if factor is not None and not np.isnan(factor):
             assert factor > 1.0
+
+    def test_cpc_curves_normalized_by_a_positive_price(self, context):
+        for experiment_id in ("fig15", "fig17"):
+            output = run_experiment(experiment_id, context)
+            assert output.metrics["cpc_norm_usd"] > 0
 
 
 class TestTab3Shape:

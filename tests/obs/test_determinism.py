@@ -95,9 +95,8 @@ def test_sampler_and_sidecar_active_run_is_bit_identical(config, tmp_path):
 
 
 def test_heartbeat_cadence_does_not_change_results(config, monkeypatch):
-    monkeypatch.delenv(obs.HEARTBEAT_ENV, raising=False)
     _, default_rng = _run(config)
-    monkeypatch.setenv(obs.HEARTBEAT_ENV, "1")
+    monkeypatch.setattr(obs, "HEARTBEAT_EVERY", 1)
     with obs.capture() as sink:
         _, chatty_rng = _run(config)
     assert chatty_rng == default_rng

@@ -1,16 +1,8 @@
-"""Unit tests for counters, gauges, histograms, and the registry."""
+"""Unit tests for counters and the registry."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.obs.metrics import (
-    DEFAULT_SIZE_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, MetricsRegistry
 
 
 class TestMetricObjects:
@@ -20,38 +12,11 @@ class TestMetricObjects:
         counter.inc(4)
         assert counter.value == 5
 
-    def test_gauge_last_write_wins(self):
-        gauge = Gauge("g")
-        gauge.set(3.5)
-        gauge.set(1.25)
-        assert gauge.value == 1.25
-
-    def test_histogram_buckets_values(self):
-        hist = Histogram("h", buckets=(1.0, 10.0))
-        hist.observe(0.5)   # <= 1.0
-        hist.observe(10.0)  # <= 10.0 (upper bound inclusive)
-        hist.observe(99.0)  # overflow
-        assert hist.counts == [1, 1, 1]
-        assert hist.count == 3
-        assert hist.mean == pytest.approx((0.5 + 10.0 + 99.0) / 3)
-
-    def test_histogram_requires_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram("empty", buckets=())
-
 
 class TestMetricsRegistry:
     def test_get_or_create_returns_same_handle(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("b") is registry.gauge("b")
-        assert registry.histogram("c") is registry.histogram("c")
-
-    def test_kind_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError, match="Counter"):
-            registry.gauge("x")
 
     def test_snapshot_is_sorted_and_json_ready(self):
         import json
@@ -59,22 +24,16 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("z.count").inc(2)
         registry.counter("a.count").inc(1)
-        registry.gauge("rate").set(7.5)
-        registry.histogram("sizes", DEFAULT_SIZE_BUCKETS).observe(42)
         snap = registry.snapshot()
+        assert snap == {"counters": {"a.count": 1, "z.count": 2}}
         assert list(snap["counters"]) == ["a.count", "z.count"]
-        assert snap["gauges"] == {"rate": 7.5}
-        assert snap["histograms"]["sizes"]["count"] == 1
         json.dumps(snap)  # must serialize without a custom encoder
 
     def test_reset_zeroes_in_place(self):
         registry = MetricsRegistry()
         counter = registry.counter("n")
-        hist = registry.histogram("h")
         counter.inc(9)
-        hist.observe(1.0)
         registry.reset()
-        # The *same* handles read zero -- module-level handles survive.
+        # The *same* handle reads zero -- module-level handles survive.
         assert counter.value == 0
-        assert hist.count == 0
         assert registry.counter("n") is counter

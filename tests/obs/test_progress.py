@@ -1,13 +1,11 @@
-"""Tests for the progress sidecar, the watch CLI, and heartbeat env."""
+"""Tests for the progress sidecar and the watch CLI."""
 
 from __future__ import annotations
 
-import json
 import logging
 
 import pytest
 
-from repro import obs
 from repro.obs.__main__ import main as obs_main
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import (
@@ -188,48 +186,3 @@ class TestWatchCli:
         sink.emit(_event("runner.complete", days=10))
         assert obs_main(["watch", str(tmp_path), "--interval", "0.1"]) == 0
         assert "complete" in capsys.readouterr().out
-
-
-class TestHeartbeatEnv:
-    @pytest.fixture(autouse=True)
-    def _fresh_warned(self, monkeypatch):
-        monkeypatch.setattr(obs, "_HEARTBEAT_WARNED", set())
-
-    def test_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv(obs.HEARTBEAT_ENV, raising=False)
-        assert obs.heartbeat_every() == obs.DEFAULT_HEARTBEAT_EVERY
-
-    def test_valid_value_parses(self, monkeypatch):
-        monkeypatch.setenv(obs.HEARTBEAT_ENV, "7")
-        assert obs.heartbeat_every() == 7
-
-    def test_negative_clamps_to_disabled(self, monkeypatch):
-        monkeypatch.setenv(obs.HEARTBEAT_ENV, "-3")
-        assert obs.heartbeat_every() == 0
-
-    def test_malformed_value_warns_once_and_uses_default(
-        self, monkeypatch, caplog, propagate_repro_logs
-    ):
-        # Regression: a typo in the telemetry knob must degrade to the
-        # clamped default with a warning, never abort the simulation.
-        monkeypatch.setenv(obs.HEARTBEAT_ENV, "banana")
-        with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            assert obs.heartbeat_every() == obs.DEFAULT_HEARTBEAT_EVERY
-            assert obs.heartbeat_every() == obs.DEFAULT_HEARTBEAT_EVERY
-        warnings = [
-            r for r in caplog.records if obs.HEARTBEAT_ENV in r.getMessage()
-        ]
-        assert len(warnings) == 1
-
-    def test_distinct_malformed_values_each_warn(
-        self, monkeypatch, caplog, propagate_repro_logs
-    ):
-        with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            monkeypatch.setenv(obs.HEARTBEAT_ENV, "banana")
-            obs.heartbeat_every()
-            monkeypatch.setenv(obs.HEARTBEAT_ENV, "kumquat")
-            obs.heartbeat_every()
-        warnings = [
-            r for r in caplog.records if obs.HEARTBEAT_ENV in r.getMessage()
-        ]
-        assert len(warnings) == 2

@@ -99,15 +99,6 @@ class TestJsonlSink:
         events = [json.loads(x) for x in path.read_text().splitlines()]
         assert [e["id"] for e in events] == [5, 6]
 
-    def test_load_existing_false_starts_fresh(self, tmp_path):
-        path = tmp_path / "telemetry.jsonl"
-        path.write_text(json.dumps(_span_event(9)) + "\n")
-        sink = JsonlSink(path, load_existing=False)
-        sink.emit(_span_event(1))
-        sink.flush()
-        events = [json.loads(x) for x in path.read_text().splitlines()]
-        assert [e["id"] for e in events] == [1]
-
     def test_tracer_flush_reaches_sink(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
         tracer = Tracer()

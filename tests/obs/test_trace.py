@@ -29,11 +29,14 @@ class TestTracer:
         sink = MemorySink()
         tracer.add_sink(sink)
         with tracer.span("outer") as outer:
-            with tracer.span("inner"):
-                assert tracer.current_span().name == "inner"
-            assert tracer.current_span() is outer
-        inner_event, outer_event = sink.events
+            with tracer.span("inner") as inner:
+                pass
+            with tracer.span("sibling") as sibling:
+                pass
+        inner_event, sibling_event, outer_event = sink.events
+        assert inner.parent_id == sibling.parent_id == outer.span_id
         assert inner_event["parent"] == outer_event["id"]
+        assert sibling_event["parent"] == outer_event["id"]
         assert outer_event["parent"] is None
 
     def test_span_ids_are_unique_and_increasing(self):
@@ -52,7 +55,7 @@ class TestTracer:
         with tracer.span("quiet") as span:
             pass
         # The span still timed itself; nothing was built for sinks.
-        assert span.duration is not None
+        assert span.end is not None and span.end >= span.start
         assert tracer.sinks == ()
 
     def test_span_closes_on_exception(self):
@@ -60,24 +63,15 @@ class TestTracer:
         sink = MemorySink()
         tracer.add_sink(sink)
         with pytest.raises(RuntimeError):
-            with tracer.span("doomed"):
+            with tracer.span("doomed") as doomed:
                 raise RuntimeError("boom")
-        [event] = sink.events
-        assert event["name"] == "doomed"
-        assert tracer.current_span() is None
-
-    def test_trace_decorator_uses_qualname_by_default(self):
-        tracer = Tracer()
-        sink = MemorySink()
-        tracer.add_sink(sink)
-
-        @tracer.trace()
-        def helper():
-            return 42
-
-        assert helper() == 42
-        [event] = sink.events
-        assert "helper" in event["name"]
+        assert doomed.end is not None
+        # The stack unwound: the next span is a root again.
+        with tracer.span("after"):
+            pass
+        doomed_event, after_event = sink.events
+        assert doomed_event["name"] == "doomed"
+        assert after_event["parent"] is None
 
     def test_event_emits_point_payload(self):
         tracer = Tracer()
@@ -111,13 +105,3 @@ class TestGlobalHelpers:
         [event] = sink.events
         assert event["kind"] == "metrics"
         assert event["data"]["counters"]["test.publish.count"] >= 7
-
-    def test_heartbeat_every_env_override(self, monkeypatch):
-        monkeypatch.delenv(obs.HEARTBEAT_ENV, raising=False)
-        assert obs.heartbeat_every() == obs.DEFAULT_HEARTBEAT_EVERY
-        monkeypatch.setenv(obs.HEARTBEAT_ENV, "5")
-        assert obs.heartbeat_every() == 5
-        monkeypatch.setenv(obs.HEARTBEAT_ENV, "0")
-        assert obs.heartbeat_every() == 0
-        monkeypatch.setenv(obs.HEARTBEAT_ENV, "nonsense")
-        assert obs.heartbeat_every() == obs.DEFAULT_HEARTBEAT_EVERY

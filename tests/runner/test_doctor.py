@@ -196,6 +196,25 @@ class TestRepair:
         assert report.verify.ok
         assert_byte_identical(run_dir, pristine)
 
+    def test_damaged_snapshot_chunk_and_ledger_full_replay(
+        self, run_dir, pristine
+    ):
+        # One damaged artifact for each step of the full replay: the
+        # snapshot, a chunk (through the chunk replay) and the ledger.
+        victim = _chunk_paths(run_dir)[1]
+        _flip_byte(run_dir / MARKET_NAME)
+        _flip_byte(victim)
+        (run_dir / DAYLEDGER_NAME).write_text("torn gibberish\n")
+        report = repair_run(run_dir)
+        assert report.strategy == "full-replay"
+        assert report.rewritten == [
+            MARKET_NAME,
+            f"chunks/{victim.name}",
+            DAYLEDGER_NAME,
+        ]
+        assert report.verify.ok
+        assert_byte_identical(run_dir, pristine)
+
     def test_strays_are_quarantined_not_deleted(self, run_dir, pristine):
         (run_dir / "chunks" / "chunk-99999-99999.npz").write_bytes(b"junk")
         (run_dir / "market.pkl.tmp").write_bytes(b"junk")

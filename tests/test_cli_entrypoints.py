@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.experiments.__main__ import main as experiments_main
+from repro.obs.__main__ import main as obs_main
 from repro.records.__main__ import main as export_main
 from repro.runner.__main__ import main as runner_main
 from repro.validation.__main__ import main as validate_main
@@ -128,6 +130,9 @@ class TestVerifyDoctorCli:
         return victim
 
     def test_verify_healthy_exits_zero(self, run_dir, capsys):
+        # The derived analyze.json is expected, not an unvouched file.
+        assert obs_main(["analyze", str(run_dir)]) == 0
+        capsys.readouterr()
         assert runner_main(["verify", str(run_dir)]) == 0
         out = capsys.readouterr().out
         assert "HEALTHY" in out
@@ -221,3 +226,64 @@ class TestOldRunDirectoryRefused:
         assert len(lines) == 1, lines
         assert "'repro-run/2'" in lines[0] and "'repro-run/3'" in lines[0]
         assert "re-run" in lines[0]
+
+
+class TestUnwritableOutput:
+    """An output path under a regular file: exit 2, one error line."""
+
+    @pytest.fixture(scope="class")
+    def done_run(self, tmp_path_factory):
+        run_dir = tmp_path_factory.mktemp("done") / "run"
+        args = ["--small", "--seed", "5", "--days", "12"]
+        assert runner_main(["run", "--checkpoint-dir", str(run_dir), *args]) == 0
+        return run_dir
+
+    @pytest.mark.parametrize(
+        "main, argv, out",
+        [
+            # 60 days: validation succeeds, so the report write fails.
+            (
+                runner_main,
+                ["run", "--checkpoint-dir", "{tmp}/run", "--small", "--days", "60",
+                 "--report", "{out}"],
+                "report.txt",
+            ),
+            (validate_main, ["--small", "--out", "{out}"], "v.json"),
+            (obs_main, ["report", "{run_dir}", "--json", "--out", "{out}"], "r.json"),
+            (
+                obs_main,
+                ["diff", "{run_dir}", "{run_dir}", "--json", "--out", "{out}"],
+                "d.json",
+            ),
+            (obs_main, ["analyze", "{run_dir}", "--out", "{out}"], "a.json"),
+            (export_main, ["{out}", "--small"], "x"),
+            (experiments_main, ["fig1", "--small", "--export", "{out}"], None),
+        ],
+        ids=[
+            "runner-report",
+            "validation-out",
+            "obs-report",
+            "obs-diff",
+            "obs-analyze",
+            "records",
+            "experiments-export",
+        ],
+    )
+    def test_exits_2_with_one_error_line(
+        self, done_run, tmp_path, capsys, main, argv, out
+    ):
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory\n")
+        # ``None``: the regular file itself is the output directory.
+        target = blocker if out is None else blocker / out
+        capsys.readouterr()
+        code = main(
+            [
+                arg.format(tmp=tmp_path, run_dir=done_run, out=target)
+                for arg in argv
+            ]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("ERROR ") and str(target) in lines[0]
