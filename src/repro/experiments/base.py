@@ -19,7 +19,7 @@ from ..config import SimulationConfig
 from ..plotting.ascii import render_cdfs, render_lines, render_series_table
 from ..simulator.cache import cached_simulation
 from ..simulator.results import SimulationResult
-from ..timeline import Window, quarter_window
+from ..timeline import Window, primary_window
 
 __all__ = ["ExperimentOutput", "ExperimentContext", "Chart", "Table"]
 
@@ -126,16 +126,8 @@ class ExperimentContext:
         return self._result
 
     def primary_window(self) -> Window:
-        """The paper's workhorse window: Year 1 Q2.
-
-        Falls back to the simulated span's second quarter-length chunk
-        for short (test) configurations.
-        """
-        window = quarter_window(1, 2)
-        if window.end <= self.config.days:
-            return window
-        days = self.config.days
-        return Window(days * 0.25, days * 0.75, "short-run window")
+        """The paper's workhorse window (:func:`repro.timeline.primary_window`)."""
+        return primary_window(self.config.days)
 
     def subsets(self, window: Window | None = None) -> SubsetBuilder:
         """Memoized subset builder for a window."""

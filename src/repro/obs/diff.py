@@ -5,8 +5,9 @@ Compares what two checkpoint-runner run directories simulated:
 * **final metrics** -- the last cumulative counter snapshot of each
   run (from its ``telemetry.jsonl``), flagging counters whose values
   differ;
-* **validation** -- the pass/miss sets (``validation.json`` or the
-  report text), flagging targets that passed in A but miss in B;
+* **validation** -- the pass/miss sets (``validation.json``, which
+  ``runner run --report`` writes), flagging targets that passed in A
+  but miss in B;
 * **day-ledger series** -- the per-day marketplace-health timeseries
   (``dayledger.jsonl``), reporting the maximum relative divergence per
   series and, when either run records a policy change, the pre/post
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -75,19 +75,10 @@ __all__ = [
 DIFF_SCHEMA = "repro.diff/v3"
 
 VALIDATION_JSON_NAME = "validation.json"
-VALIDATION_REPORT_NAME = "validation_report.txt"
 
 #: Series the text diff lists even when they do not diverge; past
 #: this many, identical series are summarized in one line.
 TOP_SERIES = 12
-
-#: ``[ok  ] name ... measured: 1.234 (...)`` -- the stable line format
-#: of ``validation_report.txt``, the fallback when no JSON payload was
-#: written.
-_REPORT_LINE = re.compile(
-    r"^\[(?P<status>ok\s*|MISS)\]\s+(?P<name>\S+)\s+.*"
-    r"measured:\s+(?P<measured>\S+)"
-)
 
 
 @dataclass
@@ -118,41 +109,22 @@ class RunDiff:
 
 
 def load_validation(run_dir: str | Path) -> dict | None:
-    """Validation pass/miss info for a run directory, if any.
+    """Validation pass/miss info from a run directory's ``validation.json``.
 
-    Prefers the machine-readable ``validation.json``; falls back to
-    parsing the stable line format of ``validation_report.txt``.
     Returns ``{"passed", "total", "ok": [names], "miss": [names]}`` or
-    ``None`` when the run has no validation artifact.
+    ``None`` when the run has no (readable) validation artifact.
     """
-    run_dir = Path(run_dir)
-    json_path = run_dir / VALIDATION_JSON_NAME
-    if json_path.exists():
-        try:
-            payload = json.loads(json_path.read_text())
-            checks = payload["checks"]
-            ok = [c["name"] for c in checks if c["ok"]]
-            miss = [c["name"] for c in checks if not c["ok"]]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            return None
-        return {"passed": len(ok), "total": len(checks), "ok": ok, "miss": miss}
-    report = run_dir / VALIDATION_REPORT_NAME
-    if report.exists():
-        ok, miss = [], []
-        for line in report.read_text().splitlines():
-            match = _REPORT_LINE.match(line)
-            if match is None:
-                continue
-            bucket = ok if match.group("status").startswith("ok") else miss
-            bucket.append(match.group("name"))
-        if ok or miss:
-            return {
-                "passed": len(ok),
-                "total": len(ok) + len(miss),
-                "ok": ok,
-                "miss": miss,
-            }
-    return None
+    json_path = Path(run_dir) / VALIDATION_JSON_NAME
+    if not json_path.exists():
+        return None
+    try:
+        payload = json.loads(json_path.read_text())
+        checks = payload["checks"]
+        ok = [c["name"] for c in checks if c["ok"]]
+        miss = [c["name"] for c in checks if not c["ok"]]
+    except (json.JSONDecodeError, KeyError, TypeError):
+        return None
+    return {"passed": len(ok), "total": len(checks), "ok": ok, "miss": miss}
 
 
 def load_run(run_dir: str | Path) -> RunData:

@@ -11,9 +11,7 @@ from .codes import (
 )
 from .columnar import (
     COLUMNAR_FORMAT,
-    COLUMNAR_SUFFIX,
     columns_to_bytes,
-    read_column_names,
     read_columns,
     read_header,
     write_columns,
@@ -36,9 +34,7 @@ __all__ = [
     "match_code",
     "match_type_from_code",
     "COLUMNAR_FORMAT",
-    "COLUMNAR_SUFFIX",
     "columns_to_bytes",
-    "read_column_names",
     "read_columns",
     "read_header",
     "write_columns",

@@ -1,35 +1,38 @@
 """Atomic, durable file writes -- with deterministic IO fault injection
 and bounded retry.
 
-Every on-disk artifact in this package (CSV/JSONL datasets, checkpoint
-manifests, impression chunks) is written with the same crash-safe
-protocol: write the full payload to ``<name>.tmp`` in the destination
-directory, flush and ``fsync`` the file, then ``os.replace`` it over the
-destination and ``fsync`` the directory.  A crash at any point leaves
-either the old file or the new file -- never a truncated hybrid.  The
-checkpoint runner (:mod:`repro.runner`) builds its recovery guarantees
-on exactly this property.
+Run artifacts (checkpoint manifests, impression chunks, snapshots,
+telemetry), reports and the CSV/JSONL dataset exports all land through
+one function, :func:`atomic_write_bytes` (or :func:`atomic_write_text`),
+with the same crash-safe protocol: write the full payload to
+``<name>.tmp`` in the destination directory, flush and ``fsync`` the
+file, then ``os.replace`` it over the destination and ``fsync`` the
+directory.  A crash at any point leaves either the old file or the new
+file -- never a truncated hybrid.  The checkpoint runner
+(:mod:`repro.runner`) builds its recovery guarantees on exactly this
+property.
 
 Two robustness layers sit on top of that protocol:
 
 * **Fault injection** -- an :class:`IoShim` installed with
-  :func:`set_io_shim` intercepts every payload write issued through
-  :func:`atomic_write_bytes` / :func:`atomic_write_text` and executes
-  planned :class:`WriteFault` s: raise ``ENOSPC``/``EIO`` before
-  anything lands (``io-error``), let only a prefix of the payload land
-  while reporting success (``io-torn``), or flip a byte after a
-  successful write (``io-bitrot``).  Faults fire at the Nth write whose
-  path matches a glob pattern, so tests declare exactly which artifact
-  the disk lies about.  The checkpoint runner threads its
+  :func:`set_io_shim` intercepts every write and executes planned
+  :class:`WriteFault` s: raise ``ENOSPC``/``EIO`` before anything
+  lands (``io-error``), let only a prefix of the payload land while
+  reporting success (``io-torn``), or flip a byte after a successful
+  write (``io-bitrot``).  Faults fire at the Nth write whose path
+  matches a glob pattern, so tests declare exactly which artifact the
+  disk lies about.  The checkpoint runner threads its
   :class:`~repro.runner.faults.FaultPlan`'s IO faults through here.
 
-* **Retry with deterministic backoff** -- transient ``OSError`` s are
-  retried up to :class:`RetryPolicy.retries` times with a fixed
-  (wall-clock-free to *decide*, clock only to *wait*) delay schedule.
-  Every retry bumps the ``io.retries`` counter; a write that exhausts
-  its budget bumps ``io.giveups`` and re-raises for the caller to treat
-  as fatal or degrade (the runner degrades auxiliary sinks, keeps
-  chunk/manifest writes fatal).
+* **Retry on a fixed schedule** -- an ``OSError`` whose errno can clear
+  (:data:`TRANSIENT_ERRNOS`) is retried once per entry of
+  :data:`RETRY_DELAYS`, after sleeping that long; the clock only
+  *waits*, it never decides.  Every retry bumps the ``io.retries``
+  counter.  A write that exhausts the schedule, or fails with any other
+  errno (``ENOTDIR``, ``EACCES``, ...), bumps ``io.giveups`` once and
+  re-raises for the caller to treat as fatal or degrade (the runner
+  degrades auxiliary sinks, keeps chunk/manifest writes fatal).  The
+  error names the path the caller passed, never the temporary file.
 """
 
 from __future__ import annotations
@@ -39,10 +42,9 @@ import fnmatch
 import hashlib
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import Iterable
 
 from .. import obs
 
@@ -51,13 +53,11 @@ __all__ = [
     "IO_TORN",
     "IO_BITROT",
     "IoShim",
-    "RetryPolicy",
+    "RETRY_DELAYS",
+    "TRANSIENT_ERRNOS",
     "WriteFault",
-    "atomic_writer",
     "atomic_write_bytes",
     "atomic_write_text",
-    "fsync_dir",
-    "io_shim",
     "set_io_shim",
     "sha256_bytes",
     "sha256_file",
@@ -76,7 +76,8 @@ _log = obs.get_logger("records.atomic")
 # ----------------------------------------------------------------------
 
 #: The write call raises ``OSError(err)`` before anything lands
-#: (retryable: the shim counts attempts, so a once-only fault clears).
+#: (retried when ``err`` is in :data:`TRANSIENT_ERRNOS`, as the default
+#: ``ENOSPC`` is: the shim counts attempts, so a once-only fault clears).
 IO_ERROR = "io-error"
 #: The write reports success but only ``len(data) - detail`` bytes
 #: landed -- a torn write on a filesystem that lied about durability.
@@ -168,46 +169,23 @@ def set_io_shim(shim: IoShim | None) -> IoShim | None:
     return previous
 
 
-def io_shim() -> IoShim | None:
-    """The installed IO shim, or ``None``."""
-    return _IO_SHIM
-
-
 # ----------------------------------------------------------------------
-# Retry policy
+# Retry schedule
 # ----------------------------------------------------------------------
 
+#: Seconds to wait before each retry of a transient failure; one retry
+#: per entry.  A fixed tuple -- no wall-clock reads, no jitter -- so two
+#: same-seed runs that hit the same injected faults retry identically,
+#: and a failing disk costs a run well under a second, not minutes.
+RETRY_DELAYS: tuple[float, ...] = (0.01, 0.05, 0.25)
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry for transient ``OSError`` s on payload writes.
-
-    The schedule is a fixed tuple of delays -- no wall-clock reads, no
-    randomness, no jitter -- so two same-seed runs that hit the same
-    injected faults retry identically.  ``sleep`` is injectable (tests
-    pass a recorder) and only *waits*; it never influences what happens
-    next.
-    """
-
-    retries: int = 3
-    delays: tuple[float, ...] = (0.01, 0.05, 0.25)
-    sleep: Callable[[float], None] = time.sleep
-
-    def delay_for(self, attempt: int) -> float:
-        """Delay before retry number ``attempt`` (0-based)."""
-        if not self.delays:
-            return 0.0
-        return self.delays[min(attempt, len(self.delays) - 1)]
-
-
-#: Policy applied when callers pass none: three retries, sub-second
-#: total backoff -- enough to ride out transient EIO/EAGAIN blips
-#: without stalling a crashed-disk run for minutes.
-DEFAULT_RETRY = RetryPolicy()
-
-#: Sentinel distinguishing "caller wants no retries" (``None``) from
-#: "caller wants the default policy" (argument omitted).
-_UNSET = object()
+#: Errnos a retry can clear (a full or flaky device, an interrupted or
+#: busy call).  Any other ``OSError`` -- a missing or non-directory
+#: parent, a permission error -- fails the same way every time, so it
+#: raises on the first attempt.
+TRANSIENT_ERRNOS = frozenset(
+    {_errno.EIO, _errno.ENOSPC, _errno.EAGAIN, _errno.EINTR, _errno.EBUSY}
+)
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +215,7 @@ def _note_fsync_failure(path: str | Path, exc: OSError) -> None:
         )
 
 
-def fsync_dir(path: str | Path) -> None:
+def _fsync_dir(path: str | Path) -> None:
     """Best-effort fsync of a directory (persists renames within it).
 
     Failures are surfaced through the ``io.fsync_failures`` counter and
@@ -259,46 +237,6 @@ def fsync_dir(path: str | Path) -> None:
 # ----------------------------------------------------------------------
 # Atomic writers
 # ----------------------------------------------------------------------
-
-
-@contextmanager
-def atomic_writer(
-    path: str | Path, mode: str = "w", newline: str | None = None
-) -> Iterator[IO]:
-    """Context manager yielding a handle whose contents land atomically.
-
-    On clean exit the temporary file is fsynced and renamed over
-    ``path``; on any exception -- including one raised by the rename
-    itself -- the temporary file is removed and ``path`` is untouched.
-
-    This streaming form cannot retry (the caller's writes are not
-    replayable); whole-payload writers should use
-    :func:`atomic_write_bytes` / :func:`atomic_write_text`, which add
-    fault injection and bounded retry.
-    """
-    if mode not in ("w", "wb"):
-        raise ValueError(f"atomic_writer supports 'w'/'wb', not {mode!r}")
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    handle = open(tmp, mode, newline=newline)
-    try:
-        yield handle
-        handle.flush()
-        os.fsync(handle.fileno())
-    except BaseException:
-        handle.close()
-        tmp.unlink(missing_ok=True)
-        raise
-    handle.close()
-    try:
-        os.replace(tmp, target)
-    except BaseException:
-        # os.replace can itself fail (EXDEV, ENOENT on a vanished
-        # directory, EIO); the contract is "old file or new file",
-        # never "plus a stray .tmp".
-        tmp.unlink(missing_ok=True)
-        raise
-    fsync_dir(target.parent)
 
 
 def _flip_byte(path: Path, offset: int) -> None:
@@ -336,22 +274,21 @@ def _write_once(target: Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    fsync_dir(target.parent)
+    _fsync_dir(target.parent)
     if fault is not None and fault.action == IO_BITROT:
         _flip_byte(target, fault.detail)
 
 
-def atomic_write_bytes(
-    path: str | Path, data: bytes, retry: RetryPolicy | None = _UNSET
-) -> None:
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Atomically write ``data`` to ``path``, retrying transient errors.
 
-    Raises the final ``OSError`` once the retry budget is exhausted
-    (``retry=None`` disables retries entirely).  Every retry bumps the
-    ``io.retries`` counter; an exhausted budget bumps ``io.giveups``.
+    A transient ``OSError`` (:data:`TRANSIENT_ERRNOS`) is retried on the
+    :data:`RETRY_DELAYS` schedule, each retry bumping ``io.retries``.
+    When the schedule is exhausted, or at once for any other error, the
+    write bumps ``io.giveups`` and raises; an error that names the
+    temporary file is re-raised naming ``path`` (same errno, same
+    ``OSError`` subclass).
     """
-    if retry is _UNSET:
-        retry = DEFAULT_RETRY
     target = Path(path)
     attempt = 0
     while True:
@@ -359,25 +296,29 @@ def atomic_write_bytes(
             _write_once(target, data)
             return
         except OSError as exc:
-            if retry is None or attempt >= retry.retries:
-                _GIVEUPS.inc()
-                obs.event(
-                    "io.giveup",
-                    path=target.name,
-                    attempts=attempt + 1,
-                    error=str(exc),
-                )
+            if exc.errno in TRANSIENT_ERRNOS and attempt < len(RETRY_DELAYS):
+                _RETRIES.inc()
+                time.sleep(RETRY_DELAYS[attempt])
+                attempt += 1
+                continue
+            error = exc
+            if exc.filename is not None and os.fspath(exc.filename) != str(target):
+                error = OSError(exc.errno, exc.strerror, str(target))
+            _GIVEUPS.inc()
+            obs.event(
+                "io.giveup",
+                path=target.name,
+                attempts=attempt + 1,
+                error=str(error),
+            )
+            if error is exc:
                 raise
-            _RETRIES.inc()
-            retry.sleep(retry.delay_for(attempt))
-            attempt += 1
+            raise error from exc
 
 
-def atomic_write_text(
-    path: str | Path, text: str, retry: RetryPolicy | None = _UNSET
-) -> None:
+def atomic_write_text(path: str | Path, text: str) -> None:
     """Atomically write ``text`` to ``path`` (UTF-8), with retries."""
-    atomic_write_bytes(path, text.encode("utf-8"), retry=retry)
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def sha256_bytes(data: bytes) -> str:

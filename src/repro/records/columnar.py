@@ -20,17 +20,15 @@ payloads
     order.
 
 Why not ``np.savez``: zip containers embed per-member metadata that
-varies across numpy versions, cannot be range-read without a zip walk,
-and compress -- all wrong for a checksummed, seekable, byte-stable
-store.  A bundle's bytes are a pure function of its columns and
-``meta``, which is what lets ``runner verify`` checksum chunks and
-``doctor --repair`` re-simulate a damaged day range and reproduce the
-file byte-for-byte.
+varies across numpy versions and compress -- both wrong for a
+checksummed, byte-stable store.  A bundle's bytes are a pure function
+of its columns and ``meta``, which is what lets ``runner verify``
+checksum chunks and ``doctor --repair`` re-simulate a damaged day range
+and reproduce the file byte-for-byte.
 
-Readers can fetch a *subset* of columns: :func:`read_columns` seeks to
-each requested payload using the header offsets, verifies its SHA-256
-(unless ``verify=False``), and never touches the rest of the file.
-Analysis code streaming two columns out of fifteen pays for two.
+There is one reader: :func:`read_columns` returns every column and
+checks each payload's SHA-256 against the header before parsing it, so
+no caller can get unverified arrays.
 
 All writes go through :func:`repro.records.atomic.atomic_write_bytes`,
 so bundles inherit the tmp+fsync+replace crash contract and the IO
@@ -44,7 +42,7 @@ from __future__ import annotations
 import io as _io
 import json
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -54,9 +52,7 @@ from .atomic import atomic_write_bytes, sha256_bytes
 __all__ = [
     "COLUMNAR_FORMAT",
     "COLUMNAR_MAGIC",
-    "COLUMNAR_SUFFIX",
     "columns_to_bytes",
-    "read_column_names",
     "read_columns",
     "read_header",
     "write_columns",
@@ -66,8 +62,6 @@ __all__ = [
 COLUMNAR_FORMAT = "repro-columnar/1"
 #: Leading magic bytes of every bundle.
 COLUMNAR_MAGIC = b"REPROCOL"
-#: Conventional file suffix for columnar bundles.
-COLUMNAR_SUFFIX = ".npc"
 
 _HEADER_LEN_BYTES = 8
 #: Refuse headers larger than this -- a corrupt length field would
@@ -205,13 +199,8 @@ def read_header(path: str | Path) -> dict:
     return header
 
 
-def read_column_names(path: str | Path) -> list[str]:
-    """Column names stored in a bundle, in layout order."""
-    return [entry["name"] for entry in read_header(path)["columns"]]
-
-
 def _read_payload(
-    handle, path: Path, base: int, entry: Mapping[str, object], verify: bool
+    handle, path: Path, base: int, entry: Mapping[str, object]
 ) -> np.ndarray:
     handle.seek(base + int(entry["offset"]))
     payload = handle.read(int(entry["nbytes"]))
@@ -220,7 +209,7 @@ def _read_payload(
             f"{path}: truncated column {entry['name']!r} "
             f"({len(payload)} of {entry['nbytes']} bytes)"
         )
-    if verify and sha256_bytes(payload) != entry["sha256"]:
+    if sha256_bytes(payload) != entry["sha256"]:
         raise RecordError(f"{path}: checksum mismatch in column {entry['name']!r}")
     try:
         array = np.lib.format.read_array(
@@ -238,34 +227,18 @@ def _read_payload(
     return array
 
 
-def read_columns(
-    path: str | Path,
-    names: Iterable[str] | None = None,
-    verify: bool = True,
-) -> dict[str, np.ndarray]:
-    """Read columns from a bundle, optionally a named subset.
+def read_columns(path: str | Path) -> dict[str, np.ndarray]:
+    """Read every column of a bundle, verifying each payload's SHA-256.
 
-    Only the requested payloads are read from disk (header offsets make
-    each column independently seekable).  With ``verify`` (the default)
-    every payload's SHA-256 is checked against the header before it is
-    parsed; pass ``verify=False`` only on data another layer has already
-    vouched for.  Returns ``{name: array}`` in layout order (or the
-    requested order when ``names`` is given).
+    Returns ``{name: array}`` in layout order.
     """
     path = Path(path)
-    out: dict[str, np.ndarray] = {}
     with open(path, "rb") as handle:
         header, base = _parse_header(handle, path)
-        by_name = {entry["name"]: entry for entry in header["columns"]}
-        if names is None:
-            wanted = [entry["name"] for entry in header["columns"]]
-        else:
-            wanted = list(names)
-            missing = [name for name in wanted if name not in by_name]
-            if missing:
-                raise RecordError(f"{path}: no such columns {missing}")
-        for name in wanted:
-            out[name] = _read_payload(handle, path, base, by_name[name], verify)
+        out = {
+            entry["name"]: _read_payload(handle, path, base, entry)
+            for entry in header["columns"]
+        }
     rows = int(header["rows"])
     for name, array in out.items():
         if array.shape[0] != rows:

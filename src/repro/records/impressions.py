@@ -206,34 +206,6 @@ class ImpressionTable:
         """Storage dtype per column, in storage order."""
         return {name: dtype for name, dtype in _FIELDS}
 
-    def to_columns(self) -> dict[str, np.ndarray]:
-        """The table as ``{name: array}`` in storage order.
-
-        The mapping feeds directly into
-        :func:`repro.records.columnar.write_columns` (and back through
-        :meth:`from_columns`), so a table round-trips through a columnar
-        bundle without row parsing.
-        """
-        return {name: getattr(self, name) for name, _ in _FIELDS}
-
-    @classmethod
-    def from_columns(cls, columns: dict[str, np.ndarray]) -> "ImpressionTable":
-        """Build a table from per-field arrays (casts to storage dtypes)."""
-        expected = {name for name, _ in _FIELDS}
-        if set(columns) != expected:
-            missing = expected - set(columns)
-            extra = set(columns) - expected
-            raise RecordError(
-                f"impression columns: missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)}"
-            )
-        return cls(
-            **{
-                name: np.asarray(columns[name], dtype=dtype)
-                for name, dtype in _FIELDS
-            }
-        )
-
     def select(self, mask: np.ndarray) -> "ImpressionTable":
         """Row subset by boolean mask or index array."""
         return ImpressionTable(

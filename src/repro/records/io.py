@@ -1,9 +1,11 @@
 """Dataset export/import (CSV for the impression table, JSONL for records).
 
-All writers are crash-safe: the payload is staged to ``<name>.tmp``,
-fsynced, and renamed over the destination (see
-:mod:`repro.records.atomic`), so an interrupted export never leaves a
-truncated CSV/JSONL behind.  All readers raise
+Each writer renders its whole file in memory and lands it through
+:func:`repro.records.atomic.atomic_write_bytes`, the write path every
+other artifact takes: the payload is staged to ``<name>.tmp``, fsynced
+and renamed over the destination, transient errors are retried, and
+the IO fault shim applies.  An interrupted or failed export never
+leaves a truncated CSV/JSONL behind.  All readers raise
 :class:`~repro.errors.RecordError` -- never raw ``csv``/``json``
 exceptions -- on malformed input.
 """
@@ -11,6 +13,7 @@ exceptions -- on malformed input.
 from __future__ import annotations
 
 import csv
+import io as _io
 import json
 from pathlib import Path
 from typing import Iterable
@@ -18,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from ..errors import RecordError
-from .atomic import atomic_writer
+from .atomic import atomic_write_bytes, atomic_write_text
 from .impressions import ImpressionTable
 
 __all__ = [
@@ -32,14 +35,18 @@ __all__ = [
 def write_impressions_csv(table: ImpressionTable, path: str | Path) -> None:
     """Write the impression table as CSV with a header row (atomically)."""
     names = table.field_names()
-    with atomic_writer(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        columns = [getattr(table, name) for name in names]
-        for row in zip(*columns):
-            writer.writerow(
-                [int(v) if isinstance(v, (np.bool_, bool)) else v for v in row]
-            )
+    # Encode into one byte buffer as rows are written: rendering a
+    # ``str`` first and encoding it would hold the file twice.
+    text = _io.TextIOWrapper(_io.BytesIO(), encoding="utf-8", newline="")
+    writer = csv.writer(text)
+    writer.writerow(names)
+    columns = [getattr(table, name) for name in names]
+    for row in zip(*columns):
+        writer.writerow(
+            [int(v) if isinstance(v, (np.bool_, bool)) else v for v in row]
+        )
+    buffer = text.detach()
+    atomic_write_bytes(path, buffer.getvalue())
 
 
 def read_impressions_csv(path: str | Path) -> ImpressionTable:
@@ -88,12 +95,9 @@ def write_records_jsonl(records: Iterable, path: str | Path) -> int:
 
     Returns the number of records written.
     """
-    count = 0
-    with atomic_writer(path) as handle:
-        for record in records:
-            handle.write(json.dumps(record.to_dict()) + "\n")
-            count += 1
-    return count
+    lines = [json.dumps(record.to_dict()) + "\n" for record in records]
+    atomic_write_text(path, "".join(lines))
+    return len(lines)
 
 
 def read_records_jsonl(path: str | Path, factory) -> list:

@@ -3,11 +3,12 @@
 :class:`CheckpointRunner` persists simulation progress at phase
 boundaries and per-N-day impression chunks, all written atomically, so
 a minutes-long full-scale run survives crashes and resumes
-bit-identically.  :class:`FaultPlan` injects crashes, corruption and
-filesystem IO errors (via :class:`WriteFault`) at exact, named points
-so every recovery path is testable.  :func:`verify_run` audits a run
-directory against its manifest and :func:`repair_run` re-simulates
-damage back to vouched bytes.  CLI::
+bit-identically.  :class:`FaultPlan` injects crashes at exact, named
+points and filesystem damage (errors, torn writes, bitrot: a
+:class:`WriteFault`) at exact writes, so every recovery path is
+testable.  :func:`verify_run` audits a run directory against its
+manifest and :func:`repair_run` re-simulates damage back to vouched
+bytes.  CLI::
 
     python -m repro.runner run --checkpoint-dir RUNS/x [--resume]
     python -m repro.runner verify RUNS/x

@@ -354,7 +354,7 @@ class CheckpointRunner:
                 self._sampler.set_phase("phase3")
                 with obs.maybe_profile("phase3", self.run_dir):
                     chunks += self._run_phase3(engine, market, manifest)
-                self._faults.fire("finalize", runner=self)
+                self._faults.fire("finalize")
                 self._sampler.set_phase(None)
                 self._flush_ledger(manifest)
                 manifest.phase = "complete"
@@ -399,7 +399,7 @@ class CheckpointRunner:
         self, engine: SimulationEngine, manifest: RunManifest
     ) -> tuple[list[AccountSummary], list[DetectionRecord], MarketIndex]:
         def on_day(day: int) -> None:
-            self._faults.fire("phase1:day", day=day, runner=self)
+            self._faults.fire("phase1:day", day=day)
 
         summaries, records, market = build_phase1(engine, on_day_complete=on_day)
         phase1_blob, market_blob = snapshot_bytes(summaries, records, market)
@@ -416,7 +416,7 @@ class CheckpointRunner:
         # trusts what the manifest vouches for.
         self._flush_ledger(manifest)
         manifest.save(self.manifest_path)
-        self._faults.fire("phase1:end", runner=self)
+        self._faults.fire("phase1:end")
         return summaries, records, market
 
     def _load_phase1(
@@ -505,13 +505,13 @@ class CheckpointRunner:
 
         def on_day(day: int) -> None:
             nonlocal pending_start
-            self._faults.fire("phase3:day", day=day, runner=self)
+            self._faults.fire("phase3:day", day=day)
             if day + 1 - pending_start >= self.checkpoint_every or day + 1 == days:
                 chunk = builder.drain()
                 self._write_chunk(engine, manifest, chunk, pending_start, day + 1)
                 collected.append(chunk)
                 pending_start = day + 1
-                self._faults.fire("phase3:checkpoint", day=day, runner=self)
+                self._faults.fire("phase3:checkpoint", day=day)
 
         engine.run_auctions(
             market, builder, start_day=start_day, on_day_complete=on_day

@@ -29,6 +29,7 @@ __all__ = [
     "month_label",
     "month_start",
     "quarter_window",
+    "primary_window",
     "named_windows",
 ]
 
@@ -107,6 +108,18 @@ def quarter_window(year: int, quarter: int) -> Window:
         raise ValueError(f"quarter must be in 1..4, got {quarter}")
     start = (year - 1) * DAYS_PER_YEAR + (quarter - 1) * (DAYS_PER_YEAR / 4)
     return Window(start, start + DAYS_PER_YEAR / 4, f"Y{year}Q{quarter}")
+
+
+def primary_window(days: int) -> Window:
+    """The paper's workhorse window for a run of ``days`` days: Year 1 Q2.
+
+    Falls back to the middle half of the simulated span for runs too
+    short to reach the end of Year 1 Q2 (test configurations).
+    """
+    window = quarter_window(1, 2)
+    if window.end <= days:
+        return window
+    return Window(days * 0.25, days * 0.75, "short-run window")
 
 
 def named_windows() -> dict[str, Window]:

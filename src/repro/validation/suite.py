@@ -34,24 +34,16 @@ from ..analysis import (
 )
 from ..analysis.aggregates import aggregate_by_advertiser
 from ..simulator.results import SimulationResult
-from ..timeline import Window, quarter_window
+from ..timeline import primary_window
 from .targets import CheckResult, TargetBand
 
 __all__ = ["run_validation", "render_report", "checks_to_json", "measure_all"]
 
 
-def _primary_window(result: SimulationResult) -> Window:
-    window = quarter_window(1, 2)
-    if window.end <= result.config.days:
-        return window
-    days = result.config.days
-    return Window(days * 0.25, days * 0.75, "short-run window")
-
-
 def measure_all(result: SimulationResult) -> dict[str, float]:
     """Compute every validated quantity from one simulation."""
     table = result.impressions
-    window = _primary_window(result)
+    window = primary_window(result.config.days)
     measures: dict[str, float] = {}
 
     # -- Section 4: scale --------------------------------------------

@@ -398,30 +398,6 @@ class TestDiffJson:
 
 
 class TestLoadValidation:
-    def test_report_text_fallback(self, tmp_path):
-        # No validation.json: parse the stable report line format.
-        (tmp_path / "validation_report.txt").write_text(
-            "validation vs paper\n"
-            "[ok  ] fraud_click_share                          "
-            "paper: ~33% of clicks            measured: 0.31 (sec 5.1)\n"
-            "[MISS] mean_cpc                                   "
-            "paper: $0.50-2.00                measured: 9.1 (sec 4.2)\n"
-        )
-        result = load_validation(tmp_path)
-        assert result == {
-            "passed": 1,
-            "total": 2,
-            "ok": ["fraud_click_share"],
-            "miss": ["mean_cpc"],
-        }
-
-    def test_json_takes_precedence(self, tmp_path):
-        run_dir = make_run(tmp_path, "a", validation_ok=("only_json",))
-        (run_dir / "validation_report.txt").write_text(
-            "[ok  ] from_text  paper: x  measured: 1 (s)\n"
-        )
-        assert load_validation(run_dir)["ok"] == ["only_json"]
-
     def test_no_artifact_returns_none(self, tmp_path):
         assert load_validation(tmp_path) is None
 

@@ -15,7 +15,6 @@ from repro.records import (
 from repro.records.atomic import (
     atomic_write_bytes,
     atomic_write_text,
-    atomic_writer,
     sha256_bytes,
     sha256_file,
 )
@@ -52,12 +51,17 @@ class TestAtomicWriter:
         assert list(tmp_path.iterdir()) == [target]
 
     def test_failure_preserves_old_content(self, tmp_path):
-        target = tmp_path / "out.txt"
-        target.write_text("original")
-        with pytest.raises(RuntimeError, match="boom"):
-            with atomic_writer(target) as handle:
-                handle.write("partial garbage")
+        # An export that fails part-way (here the second record cannot
+        # render) writes nothing: the old file stays, no tmp appears.
+        class Broken:
+            def to_dict(self):
                 raise RuntimeError("boom")
+
+        target = tmp_path / "out.jsonl"
+        target.write_text("original")
+        records = [TestJsonlRoundTripAndErrors.RECORDS[0], Broken()]
+        with pytest.raises(RuntimeError, match="boom"):
+            write_records_jsonl(records, target)
         assert target.read_text() == "original"
         assert list(tmp_path.iterdir()) == [target]
 
@@ -66,11 +70,6 @@ class TestAtomicWriter:
         atomic_write_bytes(target, b"v1")
         atomic_write_bytes(target, b"v2-longer")
         assert target.read_bytes() == b"v2-longer"
-
-    def test_rejects_append_modes(self, tmp_path):
-        with pytest.raises(ValueError):
-            with atomic_writer(tmp_path / "x", mode="a"):
-                pass
 
     def test_sha_helpers_agree(self, tmp_path):
         payload = b"checksum me"
@@ -92,8 +91,7 @@ class TestAtomicWriter:
 
         monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError, match="injected replace failure"):
-            with atomic_writer(target) as handle:
-                handle.write("new content")
+            atomic_write_text(target, "new content")
         monkeypatch.undo()
         assert target.read_text() == "original"
         assert list(tmp_path.iterdir()) == [target]
@@ -108,7 +106,7 @@ class TestAtomicWriter:
 
         monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError):
-            atomic_write_bytes(target, b"payload", retry=None)
+            atomic_write_bytes(target, b"payload")
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []
 

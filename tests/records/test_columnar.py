@@ -8,7 +8,6 @@ from repro.records.columnar import (
     COLUMNAR_FORMAT,
     COLUMNAR_MAGIC,
     columns_to_bytes,
-    read_column_names,
     read_columns,
     read_header,
     write_columns,
@@ -37,7 +36,7 @@ def test_round_trip_preserves_values_and_dtypes(tmp_path):
     assert header["format"] == COLUMNAR_FORMAT
     assert header["rows"] == 3
     assert header["meta"] == {"day_start": 0, "day_end": 3}
-    assert read_column_names(path) == list(columns)
+    assert [entry["name"] for entry in header["columns"]] == list(columns)
 
 
 def test_bytes_are_deterministic():
@@ -51,34 +50,6 @@ def test_bytes_are_deterministic():
     assert blob_a.startswith(COLUMNAR_MAGIC)
     # Different meta -> different bytes (meta is part of the header).
     assert blob_a != columns_to_bytes(columns, meta={"k": 2})
-
-
-def test_subset_read_only_touches_requested_columns(tmp_path):
-    path = tmp_path / "bundle.npc"
-    write_columns(path, _sample_columns())
-    subset = read_columns(path, names=["position", "day"])
-    assert list(subset) == ["position", "day"]
-    assert np.array_equal(subset["position"], [1, 2, 3])
-    # Corrupt an unrequested column's payload: the subset read must
-    # still succeed (it never reads those bytes)...
-    header = read_header(path)
-    entry = next(e for e in header["columns"] if e["name"] == "advertiser_id")
-    blob = bytearray(path.read_bytes())
-    base = len(blob) - header["columns"][-1]["offset"] - header["columns"][-1]["nbytes"]
-    blob[base + entry["offset"] + entry["nbytes"] - 1] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    again = read_columns(path, names=["position", "day"])
-    assert np.array_equal(again["day"], [0.5, 1.5, 2.5])
-    # ...while a full verified read flags the damaged column.
-    with pytest.raises(RecordError, match="advertiser_id"):
-        read_columns(path)
-
-
-def test_unknown_column_request_raises(tmp_path):
-    path = tmp_path / "bundle.npc"
-    write_columns(path, _sample_columns())
-    with pytest.raises(RecordError, match="no such columns"):
-        read_columns(path, names=["nope"])
 
 
 def test_zero_row_bundle_round_trips(tmp_path):
@@ -136,8 +107,6 @@ def test_rejects_damage(tmp_path):
     bad.write_bytes(bytes(flipped))
     with pytest.raises(RecordError, match="checksum mismatch"):
         read_columns(bad)
-    # ...and skipped when the caller opts out of verification.
-    read_columns(bad, verify=False, names=["day"])
 
     # Implausible header length field.
     huge = bytearray(blob)

@@ -191,27 +191,6 @@ class TestTable:
         assert table.total_clicks() == 8.0
         assert table.total_spend() == 3.5
 
-    def test_columns_round_trip(self, tmp_path):
-        from repro.records.columnar import read_columns, write_columns
-
-        table = build_table([row(day=1.0), row(day=2.0, fraud_labeled=True)])
-        columns = table.to_columns()
-        assert list(columns) == list(ImpressionTable.field_names())
-        path = tmp_path / "impressions.npc"
-        write_columns(path, columns)
-        back = ImpressionTable.from_columns(read_columns(path))
-        for name in ImpressionTable.field_names():
-            ours, theirs = getattr(table, name), getattr(back, name)
-            assert ours.dtype == theirs.dtype, name
-            assert np.array_equal(ours, theirs), name
-
-    def test_from_columns_rejects_wrong_fields(self):
-        table = build_table([row()])
-        columns = table.to_columns()
-        del columns["spend"]
-        with pytest.raises(RecordError):
-            ImpressionTable.from_columns(columns)
-
     def test_has_fraud_competition_excludes_self(self):
         # A fraud advertiser alone on the page: n_fraud_shown == 1 is itself.
         table = build_table(

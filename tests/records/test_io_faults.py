@@ -7,17 +7,16 @@ import os
 
 import pytest
 
+import repro.records.atomic as atomic
 from repro import obs
 from repro.records.atomic import (
     IO_BITROT,
     IO_ERROR,
     IO_TORN,
     IoShim,
-    RetryPolicy,
     WriteFault,
     atomic_write_bytes,
     atomic_write_text,
-    io_shim,
     set_io_shim,
     sha256_bytes,
     sha256_file,
@@ -44,10 +43,15 @@ def shim():
         set_io_shim(previous)
 
 
-def _no_sleep_policy(retries=3):
-    delays = []
-    policy = RetryPolicy(retries=retries, delays=(0.0,), sleep=delays.append)
-    return policy, delays
+@pytest.fixture
+def retry_delays(monkeypatch):
+    """Set the retry schedule: ``retry_delays(n)`` retries ``n`` times
+    without waiting (``0`` disables retry)."""
+
+    def set_retries(retries):
+        monkeypatch.setattr(atomic, "RETRY_DELAYS", (0.0,) * retries)
+
+    return set_retries
 
 
 class TestWriteFault:
@@ -83,45 +87,65 @@ class TestShimInstall:
         assert set_io_shim(first) is None
         try:
             assert set_io_shim(second) is first
-            assert io_shim() is second
         finally:
-            set_io_shim(None)
-        assert io_shim() is None
+            assert set_io_shim(None) is second
+        assert set_io_shim(None) is None
 
 
 class TestIoError:
-    def test_raises_planned_errno_without_retry(self, tmp_path, shim):
+    def test_raises_planned_errno_without_retry(
+        self, tmp_path, shim, retry_delays
+    ):
+        retry_delays(0)
         shim(WriteFault("out.bin", action=IO_ERROR, err=errno.ENOSPC))
         with pytest.raises(OSError) as excinfo:
-            atomic_write_bytes(tmp_path / "out.bin", b"data", retry=None)
+            atomic_write_bytes(tmp_path / "out.bin", b"data")
         assert excinfo.value.errno == errno.ENOSPC
         # Nothing landed, and no tmp orphan survived the failure.
         assert list(tmp_path.iterdir()) == []
 
-    def test_transient_fault_is_retried_away(self, tmp_path, shim):
+    def test_transient_fault_is_retried_away(self, tmp_path, shim, retry_delays):
+        retry_delays(3)
         installed = shim(WriteFault("out.bin", action=IO_ERROR, times=2))
-        policy, slept = _no_sleep_policy()
         before = _RETRIES.value
-        atomic_write_bytes(tmp_path / "out.bin", b"data", retry=policy)
+        atomic_write_bytes(tmp_path / "out.bin", b"data")
         assert (tmp_path / "out.bin").read_bytes() == b"data"
         assert _RETRIES.value - before == 2
-        assert len(slept) == 2
         assert len(installed.fired) == 2
 
-    def test_persistent_fault_gives_up(self, tmp_path, shim):
-        shim(WriteFault("out.bin", action=IO_ERROR, err=errno.EIO, times=10**6))
-        policy, slept = _no_sleep_policy(retries=2)
-        before = _GIVEUPS.value
+    def test_persistent_fault_gives_up(self, tmp_path, shim, retry_delays):
+        retry_delays(2)
+        installed = shim(
+            WriteFault("out.bin", action=IO_ERROR, err=errno.EIO, times=10**6)
+        )
+        retries, giveups = _RETRIES.value, _GIVEUPS.value
         with pytest.raises(OSError) as excinfo:
-            atomic_write_bytes(tmp_path / "out.bin", b"data", retry=policy)
+            atomic_write_bytes(tmp_path / "out.bin", b"data")
         assert excinfo.value.errno == errno.EIO
-        assert _GIVEUPS.value - before == 1
-        assert len(slept) == 2  # retries, then the give-up raise
+        assert _GIVEUPS.value - giveups == 1
+        assert _RETRIES.value - retries == 2  # retries, then the give-up
+        assert len(installed.fired) == 3
         assert list(tmp_path.iterdir()) == []
+
+    def test_permanent_error_is_not_retried(self, tmp_path, retry_delays):
+        # A path under a regular file fails the same way every time:
+        # one attempt, one give-up, and the error names the path the
+        # caller passed -- not the ``.tmp`` file the write opened.
+        retry_delays(3)
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory\n")
+        target = blocker / "out.bin"
+        retries, giveups = _RETRIES.value, _GIVEUPS.value
+        with pytest.raises(NotADirectoryError) as excinfo:
+            atomic_write_bytes(target, b"data")
+        assert _RETRIES.value == retries
+        assert _GIVEUPS.value - giveups == 1
+        assert excinfo.value.filename == str(target)
+        assert ".tmp" not in str(excinfo.value)
 
     def test_untargeted_paths_are_untouched(self, tmp_path, shim):
         shim(WriteFault("other.bin", action=IO_ERROR, times=10**6))
-        atomic_write_text(tmp_path / "safe.txt", "fine", retry=None)
+        atomic_write_text(tmp_path / "safe.txt", "fine")
         assert (tmp_path / "safe.txt").read_text() == "fine"
 
 
@@ -129,7 +153,7 @@ class TestTornAndBitrot:
     def test_torn_write_loses_the_tail_silently(self, tmp_path, shim):
         payload = bytes(range(200))
         shim(WriteFault("out.bin", action=IO_TORN, detail=64))
-        atomic_write_bytes(tmp_path / "out.bin", payload, retry=None)
+        atomic_write_bytes(tmp_path / "out.bin", payload)
         landed = (tmp_path / "out.bin").read_bytes()
         assert landed == payload[:-64]
         assert sha256_bytes(landed) != sha256_bytes(payload)
@@ -137,7 +161,7 @@ class TestTornAndBitrot:
     def test_bitrot_flips_exactly_one_byte(self, tmp_path, shim):
         payload = bytes(200)
         shim(WriteFault("out.bin", action=IO_BITROT, detail=10))
-        atomic_write_bytes(tmp_path / "out.bin", payload, retry=None)
+        atomic_write_bytes(tmp_path / "out.bin", payload)
         landed = (tmp_path / "out.bin").read_bytes()
         assert len(landed) == len(payload)
         diffs = [i for i, (a, b) in enumerate(zip(payload, landed)) if a != b]
@@ -148,9 +172,7 @@ class TestTornAndBitrot:
         for attempt in ("a", "b"):
             shim(WriteFault("*.bin", action=IO_TORN, nth=2, detail=3))
             for i in range(3):
-                atomic_write_bytes(
-                    tmp_path / f"{attempt}{i}.bin", b"0123456789", retry=None
-                )
+                atomic_write_bytes(tmp_path / f"{attempt}{i}.bin", b"0123456789")
             set_io_shim(None)
         # Same plan, same write sequence -> the same (second) write torn.
         for attempt in ("a", "b"):
@@ -159,13 +181,6 @@ class TestTornAndBitrot:
                 for i in range(3)
             ]
             assert sizes == [10, 7, 10]
-
-
-class TestRetryPolicy:
-    def test_delay_schedule_saturates(self):
-        policy = RetryPolicy(retries=5, delays=(0.1, 0.2))
-        assert [policy.delay_for(i) for i in range(4)] == [0.1, 0.2, 0.2, 0.2]
-        assert RetryPolicy(delays=()).delay_for(0) == 0.0
 
 
 class TestFsyncFailures:
@@ -183,6 +198,6 @@ class TestFsyncFailures:
 
         monkeypatch.setattr(os, "fsync", failing_fsync)
         before = _FSYNC.value
-        atomic_write_bytes(tmp_path / "out.bin", b"data", retry=None)
+        atomic_write_bytes(tmp_path / "out.bin", b"data")
         assert (tmp_path / "out.bin").read_bytes() == b"data"
         assert _FSYNC.value - before == 1

@@ -67,8 +67,9 @@ SCENARIOS = [
         "crash-mid-checkpoint", site_faults=(Fault("phase3:checkpoint"),)
     ),
     Scenario(
-        "truncate-chunk-then-crash",
-        site_faults=(Fault("phase3:checkpoint", action="truncate-chunk"),),
+        "torn-chunk-then-crash",
+        site_faults=(Fault("phase3:checkpoint"),),
+        io_faults=(WriteFault("chunk-00000-00005.npc", action=IO_TORN),),
         allowed_damage=frozenset({"checksum"}),
     ),
     Scenario(
@@ -123,11 +124,7 @@ def expected(config):
 
 @pytest.fixture(autouse=True)
 def _no_retry_sleep(monkeypatch):
-    monkeypatch.setattr(
-        atomic,
-        "DEFAULT_RETRY",
-        atomic.RetryPolicy(retries=3, delays=(), sleep=lambda _s: None),
-    )
+    monkeypatch.setattr(atomic, "RETRY_DELAYS", (0.0,) * 3)
 
 
 def assert_no_tmp_orphans(run_dir):

@@ -100,16 +100,3 @@ def test_stray_tmp_detection_still_works(tmp_path, runner_config):
     assert not (run_dir / "chunks" / "chunk-junk.npc.tmp").exists()
     quarantined = list((run_dir / "quarantine").rglob("*.tmp*"))
     assert quarantined
-
-
-def test_chunk_files_are_column_seekable(tmp_path, runner_config):
-    # The analysis layer's contract: read two columns of a durable
-    # chunk without parsing rows or touching other columns.
-    run_dir = tmp_path / "seekable"
-    CheckpointRunner(runner_config, run_dir).run()
-    from repro.records.columnar import read_columns
-
-    chunk = sorted((run_dir / "chunks").iterdir())[0]
-    subset = read_columns(chunk, names=["day", "spend"])
-    assert set(subset) == {"day", "spend"}
-    assert subset["day"].dtype == np.float64

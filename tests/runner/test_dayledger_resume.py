@@ -11,7 +11,14 @@ import pytest
 
 from repro.obs.__main__ import main as obs_main
 from repro.obs.timeseries import DAYLEDGER_NAME, load_rows
-from repro.runner import CheckpointRunner, Fault, FaultPlan, InjectedCrash
+from repro.runner import (
+    IO_TORN,
+    CheckpointRunner,
+    Fault,
+    FaultPlan,
+    InjectedCrash,
+    WriteFault,
+)
 
 from .conftest import assert_results_identical
 
@@ -20,8 +27,9 @@ CHECKPOINT_EVERY = 5
 #: Interruption points exercising distinct preload paths: mid-Phase-1
 #: (ledger rebuilt from scratch), Phase-3 before any chunk is durable
 #: (phase-1 fields preloaded, no market days), between checkpoints
-#: (preload discards the un-vouched tail), and at a corrupted durable
-#: checkpoint (chunk validation truncates the manifest's view).
+#: (preload discards the un-vouched tail), and at a durable checkpoint
+#: whose chunk the disk tore (chunk validation truncates the manifest's
+#: view).
 SCENARIOS = {
     "mid-phase1": lambda: FaultPlan.crash_at("phase1:day", day=17),
     "phase3-before-first-checkpoint": lambda: FaultPlan.crash_at(
@@ -31,7 +39,8 @@ SCENARIOS = {
         "phase3:day", day=23
     ),
     "corrupt-tail-chunk": lambda: FaultPlan(
-        [Fault(site="phase3:checkpoint", day=24, action="truncate-chunk")]
+        [Fault(site="phase3:checkpoint", day=24)],
+        io_faults=[WriteFault("chunk-00020-00025.npc", action=IO_TORN)],
     ),
 }
 
@@ -66,6 +75,8 @@ def test_resumed_ledger_byte_identical(
     plan = SCENARIOS[scenario]()
     _interrupt(runner_config, tmp_path, plan)
     assert not plan.pending, "fault never fired -- scenario is vacuous"
+    shim = plan.io_shim()
+    assert shim is None or shim.fired, "the disk never lied -- vacuous"
 
     resumed = CheckpointRunner(
         runner_config, tmp_path, checkpoint_every=CHECKPOINT_EVERY

@@ -45,11 +45,7 @@ def _no_sleep(monkeypatch):
     """Strip the retry backoff waits -- they decide nothing."""
     import repro.records.atomic as atomic
 
-    monkeypatch.setattr(
-        atomic,
-        "DEFAULT_RETRY",
-        atomic.RetryPolicy(retries=3, delays=(), sleep=lambda _s: None),
-    )
+    monkeypatch.setattr(atomic, "RETRY_DELAYS", (0.0,) * 3)
 
 
 @pytest.fixture(scope="module")

@@ -2,31 +2,51 @@
 
 Each scenario kills a checkpointed run at a distinct point via a
 deterministic :class:`FaultPlan` -- mid-Phase-1, mid-Phase-3 before a
-checkpoint, and *after* a durable checkpoint whose tail chunk is then
-corrupted -- resumes it, and asserts the final impression table,
-detection records, and rendered validation report are byte-identical to
-the uninterrupted same-seed run.
+checkpoint, and *after* a durable checkpoint whose tail chunk the disk
+tore or bit-flipped -- resumes it, and asserts the final impression
+table, detection records, and rendered validation report are
+byte-identical to the uninterrupted same-seed run.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import small_config
 from repro.errors import SimulationError
-from repro.runner import CheckpointRunner, Fault, FaultPlan, InjectedCrash
+from repro.runner import (
+    IO_BITROT,
+    IO_TORN,
+    CheckpointRunner,
+    Fault,
+    FaultPlan,
+    InjectedCrash,
+    WriteFault,
+)
 from repro.validation import render_report, run_validation
 
 from .conftest import assert_results_identical
 
 CHECKPOINT_EVERY = 5
 
+#: The chunk the day-24 checkpoint writes (days 20-24).
+TAIL_CHUNK = "chunk-00020-00025.npc"
+
+
+def _damaged_tail(action):
+    """The disk damages the day-24 chunk's write; the run then dies."""
+    return FaultPlan(
+        [Fault(site="phase3:checkpoint", day=24)],
+        io_faults=[WriteFault(TAIL_CHUNK, action=action)],
+    )
+
+
 #: Distinct interruption points (id -> fault plan factory).
 SCENARIOS = {
     "mid-phase1": lambda: FaultPlan.crash_at("phase1:day", day=17),
-    # Near the end of Phase 1 most legitimate accounts are lazy
-    # (entity construction deferred to trim): re-running Phase 1 from
-    # the seed must replay the batched path's draws identically.
+    # Near the end of Phase 1: re-running Phase 1 from the seed must
+    # replay every registration and detection draw identically.
     "late-phase1": lambda: FaultPlan.crash_at("phase1:day", day=35),
     "phase3-before-first-checkpoint": lambda: FaultPlan.crash_at(
         "phase3:day", day=2
@@ -34,19 +54,8 @@ SCENARIOS = {
     "phase3-between-checkpoints": lambda: FaultPlan.crash_at(
         "phase3:day", day=23
     ),
-    "corrupt-tail-chunk": lambda: FaultPlan(
-        [Fault(site="phase3:checkpoint", day=24, action="truncate-chunk")]
-    ),
-    "corrupt-tail-checksum-entry": lambda: FaultPlan(
-        [
-            Fault(
-                site="phase3:checkpoint",
-                day=24,
-                action="corrupt-manifest",
-                detail="tail-chunk-sha256",
-            )
-        ]
-    ),
+    "corrupt-tail-chunk": lambda: _damaged_tail(IO_TORN),
+    "bitrot-tail-chunk": lambda: _damaged_tail(IO_BITROT),
 }
 
 
@@ -64,6 +73,8 @@ def test_interrupted_run_resumes_byte_identical(
     plan = SCENARIOS[scenario]()
     _interrupt(runner_config, tmp_path, plan)
     assert not plan.pending, "fault never fired -- scenario is vacuous"
+    shim = plan.io_shim()
+    assert shim is None or shim.fired, "the disk never lied -- vacuous"
 
     resumed = CheckpointRunner(
         runner_config, tmp_path, checkpoint_every=CHECKPOINT_EVERY
@@ -96,20 +107,15 @@ def test_double_interruption_still_byte_identical(
 def test_resume_with_corrupted_config_hash_is_refused(
     runner_config, tmp_path
 ):
-    plan = FaultPlan(
-        [
-            Fault(
-                site="phase3:checkpoint",
-                day=24,
-                action="corrupt-manifest",
-                detail="config_sha256",
-            )
-        ]
+    """A run directory resumes only under the configuration it was
+    created with."""
+    _interrupt(
+        runner_config, tmp_path, FaultPlan.crash_at("phase3:checkpoint", day=24)
     )
-    _interrupt(runner_config, tmp_path, plan)
+    other = dataclasses.replace(runner_config, seed=runner_config.seed + 1)
     with pytest.raises(SimulationError, match="config hash mismatch"):
         CheckpointRunner(
-            runner_config, tmp_path, checkpoint_every=CHECKPOINT_EVERY
+            other, tmp_path, checkpoint_every=CHECKPOINT_EVERY
         ).run(resume=True)
 
 

@@ -110,11 +110,13 @@ class TestRunnerTelemetry:
         assert "runner.resume x1" in out
 
     def test_tail_discard_is_recorded(self, config, tmp_path):
-        from repro.runner.faults import TRUNCATE_CHUNK, Fault
+        from repro.runner import IO_TORN, Fault, WriteFault
 
-        # Corrupt the newest durable chunk post-checkpoint, then die.
+        # The disk tears the first chunk's write; the run dies after the
+        # checkpoint that vouched for the intended bytes.
         plan = FaultPlan(
-            [Fault(site="phase3:checkpoint", day=6, action=TRUNCATE_CHUNK)]
+            [Fault(site="phase3:checkpoint", day=6)],
+            io_faults=[WriteFault("chunk-00000-00007.npc", action=IO_TORN)],
         )
         with pytest.raises(InjectedCrash):
             CheckpointRunner(

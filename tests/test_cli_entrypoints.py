@@ -287,3 +287,5 @@ class TestUnwritableOutput:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1, lines
         assert lines[0].startswith("ERROR ") and str(target) in lines[0]
+        # The error names the path the user passed, not a temp file.
+        assert ".tmp" not in lines[0]
