@@ -6,10 +6,12 @@ Without quality in the rank, low-quality broad-match ads buy their way
 into the mainline and the marketplace's realized CTR drops.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.auction import Candidate, run_auction
-from repro.clickmodel import click_probability
+from repro.clickmodel import examination_probability
 from repro.config import AuctionConfig, ClickConfig
 from repro.entities.enums import MatchType
 from repro.rng import stream
@@ -29,26 +31,28 @@ def _candidates(rng, n=12):
                 match_type=MatchType.PHRASE,
                 max_bid=float(rng.lognormal(-0.5, 0.8)),
                 quality=quality,
-                click_quality=quality,
             )
         )
     return out
 
 
 def _realized_ctr(candidates, flatten_quality):
+    # Users click on the ad's own quality, whatever the ranking saw.
+    quality = {c.ad_id: c.quality for c in candidates}
     if flatten_quality:
-        mean_quality = float(np.mean([c.quality for c in candidates]))
-        ranked = [
-            Candidate(
-                c.advertiser_id, c.ad_id, c.match_type, c.max_bid,
-                mean_quality, c.quality,
-            )
-            for c in candidates
-        ]
+        mean_quality = float(np.mean(list(quality.values())))
+        ranked = [replace(c, quality=mean_quality) for c in candidates]
     else:
         ranked = candidates
     outcome = run_auction(ranked, AUCTION)
-    return sum(click_probability(s, CLICK) for s in outcome.shown)
+    return sum(
+        min(
+            1.0,
+            examination_probability(s.placement, CLICK)
+            * quality[s.candidate.ad_id],
+        )
+        for s in outcome.shown
+    )
 
 
 def _sweep(flatten_quality: bool) -> float:

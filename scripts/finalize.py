@@ -21,9 +21,9 @@ import time
 from pathlib import Path
 
 from repro import default_config
+from repro.experiments import ExperimentContext
 from repro.records.atomic import atomic_write_text
 from repro.runner import CheckpointRunner
-from repro.simulator.cache import seed_cache
 from repro.validation import render_report, run_validation
 
 SCRIPTS_DIR = Path(__file__).resolve().parent
@@ -54,10 +54,6 @@ def main(argv: list[str] | None = None) -> int:
     result = runner.run(resume="auto")
     print(f"simulated {config.days} days in {time.time() - t0:.0f}s")
 
-    # Seed the in-process cache so the experiments generator reuses the
-    # checkpointed run instead of simulating again.
-    seed_cache(config, result)
-
     checks = run_validation(result)
     report = render_report(checks)
     atomic_write_text("validation_report.txt", report + "\n")
@@ -68,7 +64,13 @@ def main(argv: list[str] | None = None) -> int:
         import generate_experiments_md
     finally:
         sys.path.remove(str(SCRIPTS_DIR))
-    generate_experiments_md.main(["-o", "EXPERIMENTS.md"])
+    # The experiments render from the checkpointed run's result rather
+    # than simulating again.
+    atomic_write_text(
+        "EXPERIMENTS.md",
+        generate_experiments_md.render(ExperimentContext(config, result)),
+    )
+    print("wrote EXPERIMENTS.md")
     return 0
 
 

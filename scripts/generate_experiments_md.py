@@ -4,6 +4,10 @@ Runs all 21 experiments against the full-scale simulation and renders a
 markdown report.  Usage:
 
     python scripts/generate_experiments_md.py [--small] [-o EXPERIMENTS.md]
+
+:func:`render` takes an :class:`ExperimentContext`, so a caller that
+already holds the simulation result (``scripts/finalize.py``) renders
+from it instead of simulating again.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from pathlib import Path
 
 from repro import default_config, small_config
 from repro.experiments import ExperimentContext, experiment_ids, run_experiment
+from repro.records.atomic import atomic_write_text
 
 # Paper-reported values per headline metric (numbers or qualitative).
 PAPER_TARGETS: dict[str, dict[str, str]] = {
@@ -95,15 +100,9 @@ PAPER_TARGETS: dict[str, dict[str, str]] = {
 }
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--small", action="store_true")
-    parser.add_argument("-o", "--output", type=Path,
-                        default=Path("EXPERIMENTS.md"))
-    args = parser.parse_args(argv)
-    config = small_config() if args.small else default_config()
-    context = ExperimentContext(config)
-
+def render(context: ExperimentContext) -> str:
+    """EXPERIMENTS.md for the simulation behind ``context``."""
+    config = context.config
     lines = [
         "# EXPERIMENTS — paper vs. measured",
         "",
@@ -117,8 +116,7 @@ def main(argv: list[str] | None = None) -> None:
         f"registrations/day={config.population.registrations_per_day}, "
         f"sampled auctions/day={config.query.auctions_per_day}.",
         "",
-        "Regenerate any row with `python -m repro.experiments <id>`; "
-        "benchmarks live in `benchmarks/test_<id>.py`.",
+        "Regenerate any row with `python -m repro.experiments <id>`.",
         "",
     ]
     for experiment_id in experiment_ids():
@@ -139,8 +137,17 @@ def main(argv: list[str] | None = None) -> None:
             lines.append(f"> {note}")
         lines.append("")
         print(f"{experiment_id}: ok ({len(output.metrics)} metrics)")
+    return "\n".join(lines) + "\n"
 
-    args.output.write_text("\n".join(lines) + "\n")
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--small", action="store_true")
+    parser.add_argument("-o", "--output", type=Path,
+                        default=Path("EXPERIMENTS.md"))
+    args = parser.parse_args(argv)
+    config = small_config() if args.small else default_config()
+    atomic_write_text(args.output, render(ExperimentContext(config)))
     print(f"wrote {args.output}")
 
 

@@ -51,7 +51,7 @@ class BatchAuctionResult:
     The first five arrays are parallel, one entry per shown ad.
     ``candidate_index`` points back into the *input* candidate arrays so
     callers can gather any per-candidate attribute (market row, match
-    code, realized click quality, ...) without the kernel carrying it.
+    code, ...) without the kernel carrying it.
     ``n_shown``/``n_fraud_shown`` are per-segment competition context
     with one entry per auction, including auctions that showed nothing.
     """

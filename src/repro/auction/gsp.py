@@ -28,15 +28,9 @@ class Candidate:
         ad_id: The ad that would be shown.
         match_type: The match type that made the offer eligible.
         max_bid: The offer's maximum CPC, USD.
-        quality: The platform's *estimated* click probability, used for
-            ranking and pricing (see
+        quality: The ad's click probability given examination, used
+            for ranking, pricing and the click draw (see
             :func:`repro.auction.quality.quality_score`).
-        click_quality: The *realized* click probability given
-            examination.  Fraudulent ads game the estimator with
-            clickbait copy: their estimated quality runs above what
-            users actually do (the paper: fraud takes the top position
-            slightly more often while its CTR is slightly lower).
-            Defaults to ``quality`` when not set.
         fraud_labeled: Whether the platform *eventually* labels the
             advertiser fraudulent.  Never used for ranking or pricing --
             it is carried through so impression records can be analysed
@@ -48,7 +42,6 @@ class Candidate:
     match_type: MatchType
     max_bid: float
     quality: float
-    click_quality: float | None = None
     fraud_labeled: bool = False
 
     def __post_init__(self) -> None:
@@ -56,18 +49,11 @@ class Candidate:
             raise ValueError("max_bid must be > 0")
         if self.quality <= 0:
             raise ValueError("quality must be > 0")
-        if self.click_quality is not None and self.click_quality <= 0:
-            raise ValueError("click_quality must be > 0")
 
     @property
     def rank_score(self) -> float:
-        """Auction rank: max bid x estimated quality."""
+        """Auction rank: max bid x quality."""
         return self.max_bid * self.quality
-
-    @property
-    def realized_click_quality(self) -> float:
-        """Click quality used by the user model (defaults to the estimate)."""
-        return self.quality if self.click_quality is None else self.click_quality
 
 
 @dataclass(frozen=True)

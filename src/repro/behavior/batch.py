@@ -163,7 +163,6 @@ def materialize_account_batch(
     rel = _MATCH_RELEVANCE
     max_indexed = MAX_INDEXED_OFFERS_PER_CAMPAIGN
     aq_rank = advertiser.quality * profile.rank_gaming
-    aq_click = advertiser.quality * profile.realized_ctr_factor
 
     rand = rng.random
     lognormal = rng.lognormal
@@ -233,7 +232,6 @@ def materialize_account_batch(
 
         ad_id = ad_ids[ad_index]
         quality_base = aq_rank * engagement * base_ctr
-        click_base = aq_click * engagement * base_ctr
         n_indexed = indexed[pos]
         n_before = len(max_bid_col)
         kw_append = kw_idx_col.append
@@ -273,7 +271,6 @@ def materialize_account_batch(
                         match_idx,
                         max_bid,
                         quality_base * rel[match_idx],
-                        click_base * rel[match_idx],
                         created,
                     )
                 )

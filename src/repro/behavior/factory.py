@@ -49,7 +49,7 @@ MAX_INDEXED_OFFERS_PER_CAMPAIGN = 40
 #: Share of an account's ads posted immediately at first-ad time.
 UPFRONT_AD_FRACTION = 0.7
 
-_offer_created = itemgetter(7)
+_offer_created = itemgetter(6)
 
 
 class IdAllocator:
@@ -82,9 +82,9 @@ class MaterializedAccount:
     * ``offers``: the auction-eligible (ad, bid) pairs, at most
       ``MAX_INDEXED_OFFERS_PER_CAMPAIGN`` per campaign, in ad order.
       Each is the tuple ``(ad_id, campaign, kw_index, match_code,
-      max_bid, quality, click_quality, created)``; quality is
-      precomputed, as it depends only on static account/ad/vertical/
-      match-type attributes.
+      max_bid, quality, created)``; quality is precomputed, as it
+      depends only on static account/ad/vertical/match-type
+      attributes.
     * ``ad_mod_times`` / ``kw_mod_times``: maintenance event times.
 
     ``activity_end`` is filled in by the engine once the detection
@@ -303,12 +303,6 @@ def materialize_account(
                         max_bid,
                         quality_score(
                             advertiser.quality * profile.rank_gaming,
-                            engagement,
-                            base_ctr,
-                            match_type,
-                        ),
-                        quality_score(
-                            advertiser.quality * profile.realized_ctr_factor,
                             engagement,
                             base_ctr,
                             match_type,

@@ -111,7 +111,6 @@ def sample_fraud_profile(
 
     value = vertical(verticals[0]).value_per_click
     rank_gaming = 1.70 if prolific else 1.60
-    realized_ctr_factor = 1.05 if prolific else 0.90
     return AdvertiserProfile(
         kind=kind,
         country=country,
@@ -128,5 +127,4 @@ def sample_fraud_profile(
         first_ad_delay=first_ad_delay,
         mod_rate_per_entity=0.004 * float(rng.lognormal(0.0, 0.5)),
         rank_gaming=rank_gaming,
-        realized_ctr_factor=realized_ctr_factor,
     )

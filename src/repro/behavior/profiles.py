@@ -62,13 +62,9 @@ class AdvertiserProfile:
     uses_stolen_payment: bool
     first_ad_delay: float
     mod_rate_per_entity: float
-    #: Multiplier applied to the platform's *estimated* quality for this
-    #: account's ads (fraud games the CTR estimator with clickbait).
+    #: Multiplier on this account's ad quality, which ranks, prices and
+    #: (through the click model) draws clicks: fraud's clickbait copy.
     rank_gaming: float = 1.0
-    #: Multiplier applied to the *realized* click quality (the paper:
-    #: typical fraud CTR is slightly lower than legitimate; the top
-    #: spenders' slightly higher).
-    realized_ctr_factor: float = 1.0
 
     def __post_init__(self) -> None:
         if len(self.verticals) != len(self.target_countries):
@@ -87,8 +83,8 @@ class AdvertiserProfile:
             raise ValueError("first_ad_delay must be >= 0")
         if self.mod_rate_per_entity < 0:
             raise ValueError("mod_rate_per_entity must be >= 0")
-        if self.rank_gaming <= 0 or self.realized_ctr_factor <= 0:
-            raise ValueError("quality factors must be > 0")
+        if self.rank_gaming <= 0:
+            raise ValueError("rank_gaming must be > 0")
 
     @property
     def is_fraud(self) -> bool:

@@ -1,11 +1,10 @@
-"""User click model: position bias plus ad engagement."""
+"""User click model: position-bias examination.
 
-from .engagement import click_probability, sample_clicks
+An ad is clicked with probability ``min(1, examination x quality)``:
+the examination probability of its slot times the ad's quality score,
+the one quality that also ranks and prices it.
+"""
+
 from .position_bias import examination_probability, examination_table
 
-__all__ = [
-    "click_probability",
-    "sample_clicks",
-    "examination_probability",
-    "examination_table",
-]
+__all__ = ["examination_probability", "examination_table"]

@@ -13,8 +13,6 @@ events and counters:
   in-memory sink for tests and benches, and a crash-safe JSONL file
   sink the checkpoint runner writes into its run directory (CLI
   diagnostics go to stderr through :mod:`~repro.obs.logsetup`);
-* **profiling** (:mod:`~repro.obs.profile`) -- opt-in per-phase
-  cProfile dumps via ``REPRO_PROFILE=1``;
 * **reporting** -- ``python -m repro.obs report <run-dir>`` renders
   ``telemetry.jsonl`` into a phase-tree timing table and counter
   summary (:mod:`~repro.obs.report`);
@@ -39,7 +37,6 @@ from typing import Iterator
 
 from .logsetup import LOG_LEVEL_ENV, get_logger, setup_logging
 from .metrics import Counter, MetricsRegistry
-from .profile import PROFILE_ENV, maybe_profile, profiling_enabled
 from .progress import PROGRESS_NAME, ProgressSink, load_progress
 from .resources import ResourceSampler
 from .sink import TELEMETRY_NAME, JsonlSink, MemorySink, Sink
@@ -60,7 +57,6 @@ __all__ = [
     "DAYLEDGER_NAME",
     "HEARTBEAT_EVERY",
     "LOG_LEVEL_ENV",
-    "PROFILE_ENV",
     "PROGRESS_NAME",
     "TELEMETRY_NAME",
     "add_sink",
@@ -70,9 +66,7 @@ __all__ = [
     "event",
     "get_logger",
     "load_progress",
-    "maybe_profile",
     "metrics",
-    "profiling_enabled",
     "publish_metrics",
     "publish_resources",
     "remove_sink",

@@ -44,72 +44,24 @@ _FIELDS: tuple[tuple[str, str], ...] = (
 class ImpressionBuilder:
     """Accumulates impression rows cheaply during simulation.
 
-    Two ingestion paths share one builder: :meth:`add` appends a single
-    row (scalar path), :meth:`add_batch` appends whole numpy chunks (the
-    vectorized auction loop adds one chunk per simulated day).  Chunks
-    are only concatenated once, at :meth:`build`; interleaving the two
-    paths preserves row order.
+    Rows arrive in chunks through :meth:`add_batch`: the vectorized
+    auction loop adds one chunk per simulated day, and so does the
+    scalar oracle, from one list per field.  Chunks are only
+    concatenated once, at :meth:`drain` or :meth:`build`.
     """
 
     def __init__(self) -> None:
-        self._columns: dict[str, list] = {name: [] for name, _ in _FIELDS}
         self._chunks: dict[str, list[np.ndarray]] = {
             name: [] for name, _ in _FIELDS
         }
         self._chunk_rows = 0
 
-    def _flush_scalar(self) -> None:
-        """Convert pending scalar rows into a chunk (keeps row order)."""
-        pending = len(self._columns["day"])
-        if pending == 0:
-            return
-        for name, dtype in _FIELDS:
-            column = self._columns[name]
-            self._chunks[name].append(np.asarray(column, dtype=dtype))
-            column.clear()
-        self._chunk_rows += pending
-
-    def add(
-        self,
-        day: float,
-        advertiser_id: int,
-        ad_id: int,
-        vertical: int,
-        country: int,
-        match_type: int,
-        position: int,
-        mainline: bool,
-        weight: float,
-        clicks: float,
-        spend: float,
-        price: float,
-        n_shown: int,
-        n_fraud_shown: int,
-        fraud_labeled: bool,
-    ) -> None:
-        columns = self._columns
-        columns["day"].append(day)
-        columns["advertiser_id"].append(advertiser_id)
-        columns["ad_id"].append(ad_id)
-        columns["vertical"].append(vertical)
-        columns["country"].append(country)
-        columns["match_type"].append(match_type)
-        columns["position"].append(position)
-        columns["mainline"].append(mainline)
-        columns["weight"].append(weight)
-        columns["clicks"].append(clicks)
-        columns["spend"].append(spend)
-        columns["price"].append(price)
-        columns["n_shown"].append(n_shown)
-        columns["n_fraud_shown"].append(n_fraud_shown)
-        columns["fraud_labeled"].append(fraud_labeled)
-
     def add_batch(self, **arrays: np.ndarray) -> None:
         """Append one chunk of rows, given as parallel arrays per field.
 
-        Every impression field must be present and all arrays must share
-        one length.  Arrays are cast to the storage dtype on ingestion
-        so :meth:`build` is a pure concatenation.
+        Every impression field must be present and all arrays (or
+        lists) must share one length.  Arrays are cast to the storage
+        dtype on ingestion so :meth:`build` is a pure concatenation.
         """
         expected = {name for name, _ in _FIELDS}
         if set(arrays) != expected:
@@ -124,13 +76,12 @@ class ImpressionBuilder:
             raise RecordError(f"ragged impression batch: {lengths}")
         if lengths["day"] == 0:
             return
-        self._flush_scalar()
         for name, dtype in _FIELDS:
             self._chunks[name].append(np.asarray(arrays[name], dtype=dtype))
         self._chunk_rows += lengths["day"]
 
     def __len__(self) -> int:
-        return self._chunk_rows + len(self._columns["day"])
+        return self._chunk_rows
 
     def drain(self) -> dict[str, np.ndarray]:
         """Remove and return every pending row as per-field arrays.
@@ -140,7 +91,6 @@ class ImpressionBuilder:
         returned mapping back through :meth:`add_batch` (in drain order)
         reconstructs the original row stream exactly.
         """
-        self._flush_scalar()
         arrays = {
             name: (
                 np.concatenate(self._chunks[name])
@@ -155,17 +105,8 @@ class ImpressionBuilder:
         return arrays
 
     def build(self) -> "ImpressionTable":
-        """Freeze the accumulated rows into numpy arrays."""
-        self._flush_scalar()
-        arrays = {
-            name: (
-                np.concatenate(self._chunks[name])
-                if self._chunks[name]
-                else np.zeros(0, dtype=dtype)
-            )
-            for name, dtype in _FIELDS
-        }
-        return ImpressionTable(**arrays)
+        """Drain the accumulated rows into an :class:`ImpressionTable`."""
+        return ImpressionTable(**self.drain())
 
 
 @dataclass(frozen=True)

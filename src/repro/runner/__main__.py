@@ -6,9 +6,6 @@ interrupted::
     python -m repro.runner run --checkpoint-dir RUNS/x
     python -m repro.runner run --checkpoint-dir RUNS/x --resume
 
-(the ``run`` subcommand is optional, so pre-doctor invocations like
-``python -m repro.runner --checkpoint-dir RUNS/x`` keep working).
-
 Audit or repair an existing run directory::
 
     python -m repro.runner verify RUNS/x
@@ -16,7 +13,8 @@ Audit or repair an existing run directory::
 
 ``verify`` re-checksums every vouched artifact and reports stray
 ``.tmp`` files; it exits 0 only for a healthy directory (1 = damage,
-2 = the manifest itself is unreadable).  ``doctor --repair``
+2 = the manifest itself is unreadable).  A missing or unknown
+subcommand exits 2 with the usage line.  ``doctor --repair``
 quarantines damaged/stray files and deterministically re-simulates
 exactly the damaged day ranges back to the manifest's vouched bytes --
 see :mod:`repro.runner.doctor` for the repair contract.
@@ -42,7 +40,7 @@ log = obs.get_logger("runner.cli")
 
 def _main_run(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.runner",
+        prog="python -m repro.runner run",
         description="Run a simulation with crash-safe checkpoints.",
     )
     parser.add_argument(
@@ -188,15 +186,21 @@ def _main_doctor(argv: list[str]) -> int:
     return 0 if repair.verify is not None and repair.verify.ok else 1
 
 
+_COMMANDS = {"run": _main_run, "verify": _main_verify, "doctor": _main_doctor}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "verify":
-        return _main_verify(argv[1:])
-    if argv and argv[0] == "doctor":
-        return _main_doctor(argv[1:])
-    if argv and argv[0] == "run":
-        argv = argv[1:]
-    return _main_run(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        print(
+            "usage: python -m repro.runner {run,verify,doctor} ...\n"
+            "python -m repro.runner: error: the first argument must be "
+            "run, verify or doctor",
+            file=sys.stderr,
+        )
+        return 2
+    return command(argv[1:])
 
 
 if __name__ == "__main__":

@@ -331,8 +331,7 @@ class CheckpointRunner:
 
             if manifest.phase == "phase1":
                 self._sampler.set_phase("phase1")
-                with obs.maybe_profile("phase1", self.run_dir):
-                    summaries, records, market = self._run_phase1(engine, manifest)
+                summaries, records, market = self._run_phase1(engine, manifest)
             else:
                 summaries, records, market = self._load_phase1(manifest)
 
@@ -352,8 +351,7 @@ class CheckpointRunner:
                     )
                 engine.set_rng_state(states)
                 self._sampler.set_phase("phase3")
-                with obs.maybe_profile("phase3", self.run_dir):
-                    chunks += self._run_phase3(engine, market, manifest)
+                chunks += self._run_phase3(engine, market, manifest)
                 self._faults.fire("finalize")
                 self._sampler.set_phase(None)
                 self._flush_ledger(manifest)

@@ -1,6 +1,6 @@
 """Two-year marketplace simulation."""
 
-from .cache import cached_simulation, clear_cache, seed_cache
+from .cache import cached_simulation, clear_cache
 from .engine import RNG_STREAMS, SimulationEngine, run_simulation
 from .market import MarketIndex
 from .querygen import CellSampler, MatchTable, QueryBatch, QuerySampler, match_table
@@ -13,7 +13,6 @@ __all__ = [
     "run_simulation",
     "cached_simulation",
     "clear_cache",
-    "seed_cache",
     "MarketIndex",
     "CellSampler",
     "MatchTable",

@@ -25,7 +25,6 @@ __all__ = [
     "CACHE_CAPACITY",
     "cached_simulation",
     "clear_cache",
-    "seed_cache",
 ]
 
 #: Number of simulation results kept alive.
@@ -58,17 +57,6 @@ def cached_simulation(config: SimulationConfig) -> SimulationResult:
         _HITS.inc()
         _CACHE.move_to_end(config)
     return result
-
-
-def seed_cache(config: SimulationConfig, result: SimulationResult) -> None:
-    """Insert an externally produced result (e.g. a checkpointed run).
-
-    Lets the experiment harness reuse a simulation that the checkpoint
-    runner already materialized instead of re-running it.
-    """
-    _CACHE[config] = result
-    _CACHE.move_to_end(config)
-    _evict()
 
 
 def clear_cache() -> None:

@@ -58,7 +58,7 @@ from ..entities.advertiser import Advertiser
 from ..entities.enums import ShutdownReason
 from ..errors import SimulationError
 from ..records.codes import match_code, match_type_from_code
-from ..records.impressions import ImpressionBuilder
+from ..records.impressions import ImpressionBuilder, ImpressionTable
 from ..rng import stream
 from ..taxonomy.geography import country as country_info
 from .market import MarketIndex, bucket_keys
@@ -749,6 +749,7 @@ class SimulationEngine:
         pair_code = index.code.tolist()
         click_config = config.click
         rng_clicks = self._rng_clicks
+        fields = ImpressionTable.field_names()
         for day in range(config.days):
             time = day + 0.5
             buckets = market.day_buckets(time, self._rng_market)
@@ -758,6 +759,7 @@ class SimulationEngine:
             slots = index.slots(queries)
             first = index.start[slots]
             stop = first + index.count[slots]
+            day_rows: list[tuple] = []
             for cell, vertical, country, weight, lo, hi in zip(
                 queries.cell.tolist(),
                 queries.vertical.tolist(),
@@ -780,7 +782,6 @@ class SimulationEngine:
                                 match_type=match_type,
                                 max_bid=float(market.max_bid[i]),
                                 quality=float(market.quality[i]),
-                                click_quality=float(market.click_quality[i]),
                                 fraud_labeled=bool(market.fraud_labeled[i]),
                             )
                         )
@@ -792,31 +793,38 @@ class SimulationEngine:
                 n_shown = outcome.n_shown
                 n_fraud = outcome.n_fraud_labeled()
                 for shown in outcome.shown:
+                    candidate = shown.candidate
                     examine = examination_probability(shown.placement, click_config)
-                    p_click = min(1.0, examine * shown.candidate.quality)
+                    p_click = min(1.0, examine * candidate.quality)
                     clicks = (
                         float(rng_clicks.poisson(weight * p_click))
                         if p_click > 0
                         else 0.0
                     )
-                    spend = clicks * shown.price_per_click
-                    builder.add(
-                        day=time,
-                        advertiser_id=shown.candidate.advertiser_id,
-                        ad_id=shown.candidate.ad_id,
-                        vertical=vertical,
-                        country=country,
-                        match_type=match_code(shown.candidate.match_type),
-                        position=shown.position,
-                        mainline=shown.mainline,
-                        weight=weight,
-                        clicks=clicks,
-                        spend=spend,
-                        price=shown.price_per_click,
-                        n_shown=n_shown,
-                        n_fraud_shown=n_fraud,
-                        fraud_labeled=shown.candidate.fraud_labeled,
+                    # One row, in ImpressionTable.field_names() order.
+                    day_rows.append(
+                        (
+                            time,
+                            candidate.advertiser_id,
+                            candidate.ad_id,
+                            vertical,
+                            country,
+                            match_code(candidate.match_type),
+                            shown.position,
+                            shown.mainline,
+                            weight,
+                            clicks,
+                            clicks * shown.price_per_click,
+                            shown.price_per_click,
+                            n_shown,
+                            n_fraud,
+                            candidate.fraud_labeled,
+                        )
                     )
+            if day_rows:
+                builder.add_batch(
+                    **dict(zip(fields, map(list, zip(*day_rows))))
+                )
 
     # ------------------------------------------------------------------
 

@@ -15,7 +15,6 @@ import numpy as np
 from .. import obs
 from ..behavior.factory import MaterializedAccount
 from ..records.codes import country_code, vertical_code
-from ..taxonomy.geography import COUNTRIES
 from .querygen import CellSampler
 
 __all__ = ["MarketIndex", "DayBuckets", "bucket_keys"]
@@ -134,15 +133,12 @@ class MarketIndex:
         matches: list[int] = []
         max_bids: list[float] = []
         qualities: list[float] = []
-        click_qualities: list[float] = []
         adv_rows: list[int] = []
         advertiser_ids: list[int] = []
         ad_ids: list[int] = []
         active_from: list[float] = []
         active_until: list[float] = []
         fraud_labeled: list[bool] = []
-        verticals: list[int] = []
-        countries: list[int] = []
         participation: list[float] = []
 
         with obs.span("market.offers", accounts=len(accounts)):
@@ -152,7 +148,7 @@ class MarketIndex:
                 if not account.offers:
                     continue
                 advertiser = account.advertiser
-                ad, campaign, kw, match, bid, quality, click, created = zip(
+                ad, campaign, kw, match, bid, quality, created = zip(
                     *account.offers
                 )
                 n = len(ad)
@@ -163,15 +159,12 @@ class MarketIndex:
                 matches.extend(match)
                 max_bids.extend(bid)
                 qualities.extend(quality)
-                click_qualities.extend(click)
                 adv_rows.extend([row] * n)
                 advertiser_ids.extend([advertiser.advertiser_id] * n)
                 ad_ids.extend(ad)
                 active_from.extend(created)
                 active_until.extend([account.activity_end] * n)
                 fraud_labeled.extend([advertiser.labeled_fraud] * n)
-                verticals.extend(vert[c] for c in campaign)
-                countries.extend(ctry[c] for c in campaign)
 
         with obs.span("market.columns", offers=len(cells)):
             self.n_offers = len(cells)
@@ -181,21 +174,16 @@ class MarketIndex:
             self.match = np.asarray(matches, dtype=np.int8)
             self.max_bid = np.asarray(max_bids, dtype=np.float64)
             self.quality = np.asarray(qualities, dtype=np.float64)
-            self.click_quality = np.asarray(click_qualities, dtype=np.float64)
             self.adv_row = np.asarray(adv_rows, dtype=np.int32)
             self.advertiser_id = np.asarray(advertiser_ids, dtype=np.int64)
             self.ad_id = np.asarray(ad_ids, dtype=np.int64)
             self.active_from = np.asarray(active_from, dtype=np.float64)
             self.active_until = np.asarray(active_until, dtype=np.float64)
             self.fraud_labeled = np.asarray(fraud_labeled, dtype=bool)
-            self.vertical = np.asarray(verticals, dtype=np.int16)
-            self.country = np.asarray(countries, dtype=np.int16)
             self.participation = np.asarray(participation, dtype=np.float64)
             if self.n_offers and int(self.kw.max()) >= _MAX_KW:
                 raise ValueError("keyword pool exceeds composite key capacity")
             self._key = bucket_keys(self.cell, self.kw, self.match)
-            if self.n_offers and int(self.country.max()) >= len(COUNTRIES):
-                raise ValueError("country code out of range")
 
     def live_mask(self, time: float, rng: np.random.Generator) -> np.ndarray:
         """Offers live at ``time``: active interval covers it, account on."""

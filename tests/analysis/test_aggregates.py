@@ -7,12 +7,28 @@ from repro.records.impressions import ImpressionBuilder
 
 
 def table_from(rows):
+    n = len(rows)
+    advertiser_id, weight, clicks, spend = (
+        np.asarray(rows, dtype=float).reshape(n, 4).T
+    )
     builder = ImpressionBuilder()
-    for advertiser_id, weight, clicks, spend in rows:
-        builder.add(
-            1.0, advertiser_id, 1, 0, 0, 0, 1, True, weight, clicks, spend,
-            0.5, 1, 0, False,
-        )
+    builder.add_batch(
+        day=np.ones(n),
+        advertiser_id=advertiser_id,
+        ad_id=np.ones(n),
+        vertical=np.zeros(n),
+        country=np.zeros(n),
+        match_type=np.zeros(n),
+        position=np.ones(n),
+        mainline=np.ones(n, dtype=bool),
+        weight=weight,
+        clicks=clicks,
+        spend=spend,
+        price=np.full(n, 0.5),
+        n_shown=np.ones(n),
+        n_fraud_shown=np.zeros(n),
+        fraud_labeled=np.zeros(n, dtype=bool),
+    )
     return builder.build()
 
 

@@ -70,7 +70,7 @@ def _assert_equivalent(segments, config):
     cursor = 0
     for index, raw in enumerate(segments):
         candidates = [
-            Candidate(a, d, MatchType.EXACT, b, q, None, f)
+            Candidate(a, d, MatchType.EXACT, b, q, f)
             for a, d, b, q, f in raw
         ]
         outcome = run_auction(candidates, config)

@@ -67,7 +67,7 @@ class TestMaterialization:
             assert all(0 <= i < len(keyword_pool(vertical)) for i in kw_idx_col)
 
     def test_offers_within_bounds(self, legit_account):
-        for _, _, _, _, max_bid, quality, _, created in legit_account.offers:
+        for _, _, _, _, max_bid, quality, created in legit_account.offers:
             assert quality > 0
             assert max_bid > 0
             assert 5.0 <= created <= 100.0
@@ -91,7 +91,7 @@ class TestTrim:
         assert all(t < 10.0 for t in account.ad_creation_times)
         assert all(t < 10.0 for t in account.kw_creation_times)
         assert all(t < 10.0 for t in account.ad_mod_times)
-        assert all(offer[7] < 10.0 for offer in account.offers)
+        assert all(offer[6] < 10.0 for offer in account.offers)
         for created in account.created_cols:
             assert all(t < 10.0 for t in created)
 

@@ -1,24 +1,12 @@
 """Tests for the position-bias click model."""
 
-import numpy as np
 import pytest
 
-from repro.auction.gsp import Candidate, ShownAd
 from repro.auction.slots import SlotPlacement
-from repro.clickmodel import (
-    click_probability,
-    examination_probability,
-    sample_clicks,
-)
+from repro.clickmodel import examination_probability
 from repro.config import ClickConfig
-from repro.entities.enums import MatchType
 
 CONFIG = ClickConfig()
-
-
-def shown_at(position, mainline, quality=0.1):
-    candidate = Candidate(1, 1, MatchType.EXACT, 1.0, quality)
-    return ShownAd(candidate, SlotPlacement(position, mainline), 0.5)
 
 
 class TestExamination:
@@ -44,41 +32,3 @@ class TestExamination:
         near = examination_probability(SlotPlacement(2, False), CONFIG)
         far = examination_probability(SlotPlacement(8, False), CONFIG)
         assert far < near
-
-
-class TestClickProbability:
-    def test_composes_examination_and_quality(self):
-        shown = shown_at(1, True, quality=0.5)
-        expected = CONFIG.top_examination * 0.5
-        assert click_probability(shown, CONFIG) == pytest.approx(expected)
-
-    def test_capped_at_one(self):
-        shown = shown_at(1, True, quality=50.0)
-        assert click_probability(shown, CONFIG) == 1.0
-
-    def test_position_monotone(self):
-        probs = [
-            click_probability(shown_at(p, True), CONFIG) for p in range(1, 5)
-        ]
-        assert all(a > b for a, b in zip(probs, probs[1:]))
-
-
-class TestSampleClicks:
-    def test_zero_weight_rejected(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        with pytest.raises(ValueError):
-            sample_clicks(shown_at(1, True), 0.0, CONFIG, rng)
-
-    def test_mean_matches_probability(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        shown = shown_at(1, True, quality=0.2)
-        weight = 1000.0
-        samples = [sample_clicks(shown, weight, CONFIG, rng) for _ in range(300)]
-        expected = weight * click_probability(shown, CONFIG)
-        assert np.mean(samples) == pytest.approx(expected, rel=0.1)
-
-    def test_nonnegative_integer(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        clicks = sample_clicks(shown_at(9, False), 10.0, CONFIG, rng)
-        assert isinstance(clicks, int)
-        assert clicks >= 0

@@ -3,10 +3,10 @@
 import csv
 
 import numpy as np
+import pytest
 
 from repro.analysis.cdf import ecdf
 from repro.plotting import (
-    export_cdfs_csv,
     export_series_csv,
     render_cdfs,
     render_lines,
@@ -81,9 +81,20 @@ class TestExport:
         assert rows[0] == ["series", "x", "y"]
         assert len(rows) == 3
 
-    def test_cdfs_csv(self, tmp_path):
-        path = tmp_path / "cdfs.csv"
-        export_cdfs_csv({"a": ecdf([1.0, 2.0, 3.0])}, path)
-        with open(path) as handle:
-            rows = list(csv.reader(handle))
-        assert len(rows) == 4
+    def test_failed_export_keeps_old_file(self, tmp_path):
+        # The second series cannot convert: nothing is written, the old
+        # file stays and no temporary file is left behind.
+        class Broken:
+            def __array__(self, *args, **kwargs):
+                raise RuntimeError("boom")
+
+        path = tmp_path / "series.csv"
+        path.write_text("old\n")
+        series = {
+            "a": (np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])),
+            "b": (Broken(), np.array([1.0])),
+        }
+        with pytest.raises(RuntimeError, match="boom"):
+            export_series_csv(series, path)
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]

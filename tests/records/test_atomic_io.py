@@ -22,24 +22,24 @@ from repro.records.atomic import (
 
 def _tiny_table(rows: int = 3):
     builder = ImpressionBuilder()
-    for i in range(rows):
-        builder.add(
-            day=0.5 + i,
-            advertiser_id=i + 1,
-            ad_id=10 + i,
-            vertical=1,
-            country=2,
-            match_type=0,
-            position=i,
-            mainline=i % 2 == 0,
-            weight=100.0,
-            clicks=float(i),
-            spend=0.5 * i,
-            price=0.25,
-            n_shown=3,
-            n_fraud_shown=1,
-            fraud_labeled=i % 2 == 1,
-        )
+    i = np.arange(rows)
+    builder.add_batch(
+        day=0.5 + i,
+        advertiser_id=i + 1,
+        ad_id=10 + i,
+        vertical=np.full(rows, 1),
+        country=np.full(rows, 2),
+        match_type=np.zeros(rows),
+        position=i,
+        mainline=i % 2 == 0,
+        weight=np.full(rows, 100.0),
+        clicks=i.astype(float),
+        spend=0.5 * i,
+        price=np.full(rows, 0.25),
+        n_shown=np.full(rows, 3),
+        n_fraud_shown=np.ones(rows),
+        fraud_labeled=i % 2 == 1,
+    )
     return builder.build()
 
 

@@ -7,10 +7,14 @@ from repro.errors import RecordError
 from repro.records.impressions import ImpressionBuilder, ImpressionTable
 
 
+def columns(*rows):
+    """Row dicts as one list per field, the scalar oracle's batch shape."""
+    return {name: [row[name] for row in rows] for name in ImpressionTable.field_names()}
+
+
 def build_table(rows):
     builder = ImpressionBuilder()
-    for row in rows:
-        builder.add(**row)
+    builder.add_batch(**columns(*rows))
     return builder.build()
 
 
@@ -40,7 +44,7 @@ class TestBuilder:
     def test_len(self):
         builder = ImpressionBuilder()
         assert len(builder) == 0
-        builder.add(**row())
+        builder.add_batch(**columns(row()))
         assert len(builder) == 1
 
     def test_build_types(self):
@@ -76,24 +80,19 @@ class TestAddBatch:
         assert table.position.dtype == np.int16
         assert table.mainline.dtype == bool
 
-    def test_interleaved_scalar_and_batch_preserves_order(self):
-        builder = ImpressionBuilder()
-        builder.add(**row(day=1.0))
-        builder.add_batch(**batch(2, day=np.array([2.0, 3.0])))
-        builder.add(**row(day=4.0))
-        assert len(builder) == 4
-        table = builder.build()
-        assert table.day.tolist() == [1.0, 2.0, 3.0, 4.0]
-
     def test_interleaved_mixed_ingestion_rows_and_dtypes(self):
-        # The docstring promises interleaved scalar/batch ingestion
-        # preserves row order AND storage dtypes.  Scalar rows arrive as
-        # Python bool/int/float and must narrow through _flush_scalar to
-        # the declared storage dtypes; batch rows arrive as (possibly
-        # wider) numpy arrays and must be cast on ingestion.
+        # Batches arrive either as lists of Python bool/int/float (the
+        # scalar oracle's per-day rows) or as (possibly wider) numpy
+        # arrays (the batched path).  Both must narrow to the declared
+        # storage dtypes on ingestion, and interleaving them must keep
+        # row order.
         builder = ImpressionBuilder()
-        builder.add(**row(day=0.0, position=30000, mainline=True))
-        builder.add(**row(day=1.0, match_type=2, fraud_labeled=False))
+        builder.add_batch(
+            **columns(
+                row(day=0.0, position=30000, mainline=True),
+                row(day=1.0, match_type=2, fraud_labeled=False),
+            )
+        )
         builder.add_batch(
             **batch(
                 2,
@@ -103,9 +102,9 @@ class TestAddBatch:
                 mainline=np.array([0, 1], dtype=np.int64),
             )
         )
-        builder.add(**row(day=4.0, n_shown=7, n_fraud_shown=3))
+        builder.add_batch(**columns(row(day=4.0, n_shown=7, n_fraud_shown=3)))
         builder.add_batch(**batch(1, day=np.array([5.0])))
-        builder.add(**row(day=6.0))
+        builder.add_batch(**columns(row(day=6.0)))
         table = builder.build()
         assert table.day.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         dtypes = ImpressionTable.field_dtypes()
@@ -123,11 +122,11 @@ class TestAddBatch:
         # The checkpoint runner drains mid-stream; feeding the drained
         # arrays back through add_batch must reconstruct the row stream.
         source = ImpressionBuilder()
-        source.add(**row(day=0.0, clicks=1.0))
+        source.add_batch(**columns(row(day=0.0, clicks=1.0)))
         source.add_batch(**batch(2, day=np.array([1.0, 2.0])))
         first = source.drain()
         assert len(source) == 0
-        source.add(**row(day=3.0, mainline=False))
+        source.add_batch(**columns(row(day=3.0, mainline=False)))
         second = source.drain()
 
         rebuilt = ImpressionBuilder()

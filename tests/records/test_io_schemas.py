@@ -19,7 +19,7 @@ from repro.records import (
     write_impressions_csv,
     write_records_jsonl,
 )
-from repro.records.impressions import ImpressionBuilder
+from repro.records.impressions import ImpressionBuilder, ImpressionTable
 
 
 class TestCodes:
@@ -72,9 +72,12 @@ class TestCustomerRecord:
 
 class TestImpressionsCsv:
     def _table(self):
+        rows = [
+            (1.5, 1, 10, 0, 0, 1, 2, True, 100.0, 5.0, 2.5, 0.5, 3, 1, True),
+            (2.0, 2, 11, 3, 2, 0, 1, False, 50.0, 0.0, 0.0, 0.1, 1, 0, False),
+        ]
         builder = ImpressionBuilder()
-        builder.add(1.5, 1, 10, 0, 0, 1, 2, True, 100.0, 5.0, 2.5, 0.5, 3, 1, True)
-        builder.add(2.0, 2, 11, 3, 2, 0, 1, False, 50.0, 0.0, 0.0, 0.1, 1, 0, False)
+        builder.add_batch(**dict(zip(ImpressionTable.field_names(), zip(*rows))))
         return builder.build()
 
     def test_roundtrip(self, tmp_path):

@@ -5,9 +5,9 @@ import weakref
 
 import pytest
 
-from repro import run_simulation, small_config
+from repro import small_config
 from repro.simulator import cache
-from repro.simulator.cache import cached_simulation, clear_cache, seed_cache
+from repro.simulator.cache import cached_simulation, clear_cache
 
 
 class TestCache:
@@ -62,9 +62,3 @@ class TestBoundedLru:
         assert cached_simulation(configs[0]) is oldest  # refresh
         cached_simulation(configs[2])  # evicts seed=211, not seed=210
         assert cached_simulation(configs[0]) is oldest
-
-    def test_seed_cache_short_circuits_simulation(self, bounded_cache):
-        config = small_config(seed=230, days=20)
-        result = run_simulation(config)
-        seed_cache(config, result)
-        assert cached_simulation(config) is result

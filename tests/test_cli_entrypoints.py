@@ -54,7 +54,7 @@ class TestRunnerCli:
 
     def test_fresh_run_then_resume(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
-        assert runner_main(["--checkpoint-dir", str(run_dir), *self.ARGS]) == 0
+        assert runner_main(["run", "--checkpoint-dir", str(run_dir), *self.ARGS]) == 0
         out = capsys.readouterr().out
         assert "impression rows" in out
         assert (run_dir / "MANIFEST.json").exists()
@@ -62,20 +62,20 @@ class TestRunnerCli:
         # A completed run resumes as a pure reload.
         assert (
             runner_main(
-                ["--checkpoint-dir", str(run_dir), "--resume", *self.ARGS]
+                ["run", "--checkpoint-dir", str(run_dir), "--resume", *self.ARGS]
             )
             == 0
         )
 
     def test_refuses_clobbering_existing_run(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
-        assert runner_main(["--checkpoint-dir", str(run_dir), *self.ARGS]) == 0
-        assert runner_main(["--checkpoint-dir", str(run_dir), *self.ARGS]) == 2
+        assert runner_main(["run", "--checkpoint-dir", str(run_dir), *self.ARGS]) == 0
+        assert runner_main(["run", "--checkpoint-dir", str(run_dir), *self.ARGS]) == 2
         assert "already contains a run" in capsys.readouterr().err
 
     def test_resume_without_run_fails_cleanly(self, tmp_path, capsys):
         code = runner_main(
-            ["--checkpoint-dir", str(tmp_path / "void"), "--resume", *self.ARGS]
+            ["run", "--checkpoint-dir", str(tmp_path / "void"), "--resume", *self.ARGS]
         )
         assert code == 2
         assert "nothing to resume" in capsys.readouterr().err
@@ -86,6 +86,7 @@ class TestRunnerCli:
         # not a traceback.
         code = runner_main(
             [
+                "run",
                 "--checkpoint-dir",
                 str(tmp_path / "run"),
                 "--small",
@@ -102,11 +103,25 @@ class TestRunnerCli:
         # the one-line message, and no run directory left behind.
         run_dir = tmp_path / "run"
         code = runner_main(
-            ["--checkpoint-dir", str(run_dir), "--small", "--days", days]
+            ["run", "--checkpoint-dir", str(run_dir), "--small", "--days", days]
         )
         assert code == 2
         assert "days must be > 0" in capsys.readouterr().err
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--checkpoint-dir", "RUN", "--small"], ["repair", "RUN"]],
+        ids=["empty", "bare-checkpoint-dir", "unknown-command"],
+    )
+    def test_subcommand_required(self, tmp_path, capsys, argv):
+        # Only `run`, `verify` and `doctor` are accepted; anything else,
+        # the bare `--checkpoint-dir` form included, exits 2 with usage
+        # and starts no run.
+        argv = [str(tmp_path / "run") if arg == "RUN" else arg for arg in argv]
+        assert runner_main(argv) == 2
+        assert "usage: python -m repro.runner" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestVerifyDoctorCli:
@@ -117,7 +132,6 @@ class TestVerifyDoctorCli:
     @pytest.fixture()
     def run_dir(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
-        # The explicit `run` subcommand is equivalent to the bare form.
         assert runner_main(["run", "--checkpoint-dir", str(run_dir), *self.ARGS]) == 0
         capsys.readouterr()
         return run_dir
