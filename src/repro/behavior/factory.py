@@ -10,9 +10,11 @@ fixes the account's end time, the account is trimmed so nothing is
 
 Performance note: only a bounded number of keyword offers per campaign
 enter the auction *index* (``MAX_INDEXED_OFFERS_PER_CAMPAIGN``); very
-large legitimate accounts keep their full ad/keyword inventory for the
-behavioural analyses (Figure 7) while competing in auctions through a
-representative sample.  Activity scaling compensates for volume.
+large legitimate accounts have their full ad/keyword inventory drawn
+and counted into their summary for the behavioural analyses (Figure 7)
+while competing in auctions through a representative sample.  Activity
+scaling compensates for volume.  Phase 1 frees the inventory columns
+as soon as the account is summarized; only the offers are kept.
 """
 
 from __future__ import annotations
@@ -89,6 +91,14 @@ class MaterializedAccount:
 
     ``activity_end`` is filled in by the engine once the detection
     outcome (or dormancy) fixes when the account stops competing.
+
+    The columns live only for the account's turn in Phase 1: the
+    engine trims and summarizes the account as soon as its draws are
+    done, and keeps a ``MaterializedAccount`` of just ``advertiser``,
+    ``profile``, ``activity_end`` and the trimmed ``offers``, which is
+    what :class:`~repro.simulator.market.MarketIndex` reads.  The
+    accounts :meth:`~repro.simulator.engine.SimulationEngine.generate_population`
+    returns therefore have empty per-ad and per-bid columns.
     """
 
     advertiser: Advertiser

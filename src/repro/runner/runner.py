@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import pickle
 import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 from .. import obs
@@ -106,19 +107,21 @@ def snapshot_bytes(
     summaries: list[AccountSummary],
     records: list[DetectionRecord],
     market: MarketIndex,
-) -> tuple[bytes, bytes]:
-    """The ``phase1.pkl`` and ``market.pkl`` bytes, in that order.
+) -> Iterator[tuple[str, bytes]]:
+    """Yield ``(name, blob)`` for ``phase1.pkl``, then ``market.pkl``.
 
     They hold exactly what resume reads back: the account summaries,
     the detection records and the Phase-2 market.  None of it holds a
     ``set``, whose pickled order would follow the string-hash seed, so
-    the bytes are the same under any ``PYTHONHASHSEED``.
+    the bytes are the same under any ``PYTHONHASHSEED``.  Each blob is
+    pickled only when the next pair is asked for, so a caller that
+    drops one blob before it asks for the next never holds both.
     """
-    phase1 = pickle.dumps(
+    yield PHASE1_NAME, pickle.dumps(
         {"summaries": summaries, "records": records},
         protocol=pickle.HIGHEST_PROTOCOL,
     )
-    return phase1, pickle.dumps(market, protocol=pickle.HIGHEST_PROTOCOL)
+    yield MARKET_NAME, pickle.dumps(market, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def build_phase1(
@@ -400,13 +403,11 @@ class CheckpointRunner:
             self._faults.fire("phase1:day", day=day)
 
         summaries, records, market = build_phase1(engine, on_day_complete=on_day)
-        phase1_blob, market_blob = snapshot_bytes(summaries, records, market)
-        atomic_write_bytes(self.phase1_path, phase1_blob)
-        atomic_write_bytes(self.market_path, market_blob)
-        manifest.artifacts = {
-            PHASE1_NAME: sha256_bytes(phase1_blob),
-            MARKET_NAME: sha256_bytes(market_blob),
-        }
+        manifest.artifacts = {}
+        for name, blob in snapshot_bytes(summaries, records, market):
+            atomic_write_bytes(self.run_dir / name, blob)
+            manifest.artifacts[name] = sha256_bytes(blob)
+            del blob  # freed before the next snapshot is pickled
         manifest.phase3_start_rng = engine.rng_state()
         manifest.phase = "phase3"
         # Ledger before manifest: a crash between the two leaves a

@@ -9,7 +9,10 @@ Runs in three phases:
    can be generated before any auction runs.  A detection sampled to
    land *after* the study end is discarded: that account is analysed
    as non-fraudulent, exactly as undetected fraud is at Bing.
-   Materialization runs through the batched path
+   Each account is trimmed and summarized as soon as its draws are
+   done, in the same pass; only its summary and its auction offers
+   outlive its turn, so no per-ad or per-bid column is held across
+   the horizon.  Materialization runs through the batched path
    (:func:`~repro.behavior.batch.materialize_account_batch`): grouped
    numpy draws on the same named streams in the same draw order as the
    scalar factory, so the population -- and everything downstream --
@@ -184,100 +187,27 @@ class SimulationEngine:
             uses_stolen_payment=profile.uses_stolen_payment,
         )
 
-    def _summarize(
-        self,
-        advertiser: Advertiser,
-        profile: AdvertiserProfile,
-        account: MaterializedAccount | None,
-        adv_row: int,
-        activity_end: float,
-    ) -> AccountSummary:
-        default_bid = self.config.auction.default_max_bid
-        bid_count = np.zeros(3)
-        bid_sum = np.zeros(3)
-        bid_above = np.zeros(3)
-        ad_creations: list[float] = []
-        kw_creations: list[float] = []
-        ad_mods: list[float] = []
-        kw_mods: list[float] = []
-        n_domains = 0
-        if account is not None:
-            n_domains = len(set(account.ad_domains))
-            # One campaign-major pass over every bid.  ``bincount``
-            # accumulates weights sequentially in array order, so each
-            # sum is that of a plain loop over the campaigns' bids in
-            # turn.
-            mcodes = np.fromiter(chain.from_iterable(account.mcode_cols), np.int8)
-            if len(mcodes):
-                max_bids = np.fromiter(
-                    chain.from_iterable(account.max_bid_cols), np.float64
-                )
-                bid_count = np.bincount(mcodes, minlength=3).astype(np.float64)
-                bid_sum = np.bincount(mcodes, weights=max_bids, minlength=3)
-                bid_above = np.bincount(
-                    mcodes[max_bids > default_bid * 1.0001], minlength=3
-                ).astype(np.float64)
-            ad_creations = account.ad_creation_times
-            kw_creations = account.kw_creation_times
-            ad_mods = account.ad_mod_times
-            kw_mods = account.kw_mod_times
-        return AccountSummary(
-            advertiser_id=advertiser.advertiser_id,
-            adv_row=adv_row,
-            kind=advertiser.kind,
-            labeled_fraud=advertiser.labeled_fraud,
-            created_time=advertiser.created_time,
-            first_ad_time=advertiser.first_ad_time,
-            shutdown_time=advertiser.shutdown_time,
-            shutdown_reason=(
-                advertiser.shutdown_reason.value
-                if advertiser.shutdown_reason is not None
-                else None
-            ),
-            activity_end=activity_end,
-            country=advertiser.country,
-            language=advertiser.language,
-            currency=advertiser.currency,
-            verticals=profile.verticals,
-            n_ads=len(ad_creations),
-            n_keywords=len(kw_creations),
-            n_domains=n_domains,
-            ad_creation_times=np.asarray(ad_creations, dtype=np.float64),
-            kw_creation_times=np.asarray(kw_creations, dtype=np.float64),
-            ad_mod_times=np.asarray(ad_mods, dtype=np.float64),
-            kw_mod_times=np.asarray(kw_mods, dtype=np.float64),
-            bid_count_by_match=bid_count,
-            bid_sum_by_match=bid_sum,
-            bid_above_default_by_match=bid_above,
-            activity_scale=profile.activity_scale,
-            participation=profile.participation_prob,
-            quality=profile.quality,
-        )
-
     def _plan_account(
         self,
         profile: AdvertiserProfile,
         created_time: float,
         materializer=materialize_account_batch,
-    ) -> tuple[MaterializedAccount, float, bool]:
+    ) -> tuple[MaterializedAccount, float]:
         """Every RNG draw for one account; trim and summary deferred.
 
         Performs the draw-bearing half of account generation -- screen,
         materialize, evaluate, commit, dormancy -- in the canonical
-        per-account order, and returns ``(account, activity_end,
-        materialized)``.
-        ``materialized`` accounts still need :meth:`_finish_account`
-        (trim + summary), which draws nothing; non-materialized
-        accounts are already final (an untouched empty account).
+        per-account order, and returns ``(account, activity_end)``.
+        An account screened out or registered too late to post is
+        returned empty.  :meth:`_finish_account` (trim + summary),
+        which draws nothing, finishes it.
         """
         total_days = float(self.config.days)
         rng_d = self._rng_detection
         rng_p = self._rng_population
         advertiser = self._new_advertiser(profile, created_time)
 
-        empty = MaterializedAccount(
-            advertiser=advertiser, profile=profile, activity_end=created_time
-        )
+        empty = MaterializedAccount(advertiser=advertiser, profile=profile)
 
         if profile.is_fraud:
             screen_time = self.pipeline.screen_registration(
@@ -287,7 +217,7 @@ class SimulationEngine:
                 # Screened, but the freeze lands after the study ends:
                 # within the study this account is simply a pending
                 # registration that never posts.
-                return empty, total_days, False
+                return empty, total_days
             if screen_time is not None:
                 advertiser.shutdown(
                     screen_time, ShutdownReason.REGISTRATION_SCREEN, True
@@ -298,11 +228,11 @@ class SimulationEngine:
                         screen_time, ShutdownReason.REGISTRATION_SCREEN, True
                     ),
                 )
-                return empty, min(screen_time, total_days), False
+                return empty, min(screen_time, total_days)
 
         first_ad_time = created_time + profile.first_ad_delay
         if first_ad_time >= total_days:
-            return empty, total_days, False
+            return empty, total_days
 
         account = materializer(
             advertiser,
@@ -334,29 +264,68 @@ class SimulationEngine:
             if not profile.is_fraud:
                 dormancy = float(rng_p.exponential(LEGIT_DORMANCY_MEAN_DAYS))
                 activity_end = min(total_days, created_time + dormancy)
-        return account, activity_end, True
+        return account, activity_end
 
     def _finish_account(
-        self,
-        profile: AdvertiserProfile,
-        account: MaterializedAccount,
-        adv_row: int,
-        activity_end: float,
-        materialized: bool,
+        self, account: MaterializedAccount, adv_row: int, activity_end: float
     ) -> AccountSummary:
-        """The draw-free tail of account generation: trim + summarize.
+        """The draw-free tail of account generation: trim, then summarize.
 
-        Never touches an RNG stream, which is what lets the horizon
-        path run it as a separate pass after all draws are done.
+        Never touches an RNG stream.  An account that never
+        materialized has empty columns, so its trim is a no-op and its
+        summary counts nothing.
         """
-        if materialized:
-            account.trim(activity_end)
-            account.activity_end = activity_end
-            return self._summarize(
-                account.advertiser, profile, account, adv_row, activity_end
+        account.trim(activity_end)
+        advertiser = account.advertiser
+        profile = account.profile
+        default_bid = self.config.auction.default_max_bid
+        bid_count = np.zeros(3)
+        bid_sum = np.zeros(3)
+        bid_above = np.zeros(3)
+        # One campaign-major pass over every bid.  ``bincount``
+        # accumulates weights sequentially in array order, so each sum
+        # is that of a plain loop over the campaigns' bids in turn.
+        mcodes = np.fromiter(chain.from_iterable(account.mcode_cols), np.int8)
+        if len(mcodes):
+            max_bids = np.fromiter(
+                chain.from_iterable(account.max_bid_cols), np.float64
             )
-        return self._summarize(
-            account.advertiser, profile, None, adv_row, activity_end
+            bid_count = np.bincount(mcodes, minlength=3).astype(np.float64)
+            bid_sum = np.bincount(mcodes, weights=max_bids, minlength=3)
+            bid_above = np.bincount(
+                mcodes[max_bids > default_bid * 1.0001], minlength=3
+            ).astype(np.float64)
+        return AccountSummary(
+            advertiser_id=advertiser.advertiser_id,
+            adv_row=adv_row,
+            kind=advertiser.kind,
+            labeled_fraud=advertiser.labeled_fraud,
+            created_time=advertiser.created_time,
+            first_ad_time=advertiser.first_ad_time,
+            shutdown_time=advertiser.shutdown_time,
+            shutdown_reason=(
+                advertiser.shutdown_reason.value
+                if advertiser.shutdown_reason is not None
+                else None
+            ),
+            activity_end=activity_end,
+            country=advertiser.country,
+            language=advertiser.language,
+            currency=advertiser.currency,
+            verticals=profile.verticals,
+            n_ads=len(account.ad_creation_times),
+            n_keywords=len(account.kw_creation_times),
+            n_domains=len(set(account.ad_domains)),
+            ad_creation_times=np.asarray(account.ad_creation_times, dtype=np.float64),
+            kw_creation_times=np.asarray(account.kw_creation_times, dtype=np.float64),
+            ad_mod_times=np.asarray(account.ad_mod_times, dtype=np.float64),
+            kw_mod_times=np.asarray(account.kw_mod_times, dtype=np.float64),
+            bid_count_by_match=bid_count,
+            bid_sum_by_match=bid_sum,
+            bid_above_default_by_match=bid_above,
+            activity_scale=profile.activity_scale,
+            participation=profile.participation_prob,
+            quality=profile.quality,
         )
 
     def _draw_day_registrations(self, day, rng, schedule, ledger):
@@ -403,17 +372,20 @@ class SimulationEngine:
         on_day_complete=None,
         materializer=None,
     ) -> tuple[list[MaterializedAccount], list[AccountSummary]]:
-        """Phase 1 as two whole-horizon passes: draws, then build.
+        """Phase 1 as one pass over the horizon.
 
-        The **draws** pass sweeps the horizon once, performing every
-        RNG draw in the canonical order and recording each account's
-        activity end and whether it materialized.  The **build** pass
-        -- draw-free by construction -- trims each materialized account
-        to its recorded activity end and assembles the summaries.
-        Day-boundary side-effects (ledger rows, heartbeats,
-        ``on_day_complete``) fire from the draws pass, so the
-        checkpoint runner's fault sites and progress reporting are
-        unchanged.
+        The pass performs every RNG draw in the canonical order
+        (:meth:`_plan_account`) and finishes each account -- trim and
+        summary, :meth:`_finish_account`, which draws nothing -- as
+        soon as its draws are done.  Only the summary and the four
+        fields :class:`~repro.simulator.market.MarketIndex` reads (the
+        advertiser, the profile, the activity end and the trimmed
+        offers) outlive the account's turn; its per-ad and per-bid
+        columns are freed there, so memory does not grow with every
+        bid of the horizon.  Day-boundary side-effects (ledger rows,
+        heartbeats, ``on_day_complete``) fire after each day's
+        accounts, so the checkpoint runner's fault sites and progress
+        reporting see whole days.
 
         ``materializer`` replaces :meth:`_plan_account`'s default
         batched materializer; the scalar oracle passes
@@ -423,17 +395,14 @@ class SimulationEngine:
         rng = self._rng_population
         schedule = FraudShareSchedule(config.population, config.days, rng)
         accounts: list[MaterializedAccount] = []
-        profiles: list[AdvertiserProfile] = []
-        ends: list[float] = []
-        built: list[bool] = []
+        summaries: list[AccountSummary] = []
         mode = "horizon" if materializer is None else "scalar"
         heartbeat = obs.HEARTBEAT_EVERY
         tracer = obs.tracer()
         # Nearly everything allocated here is either retained for the
-        # whole run (account columns, summaries) or freed promptly by
-        # reference counting (trimmed columns); cyclic GC only adds
-        # pauses that scale with the live-object count.  Pause it for
-        # both passes.
+        # whole run (offers, summaries) or freed promptly by reference
+        # counting (each account's columns); cyclic GC only adds pauses
+        # that scale with the live-object count.  Pause it for the pass.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         ledger = obs.dayledger()
@@ -447,17 +416,27 @@ class SimulationEngine:
                         for profile, created_time in self._draw_day_registrations(
                             day, rng, schedule, ledger
                         ):
-                            account, activity_end, materialized = (
+                            account, activity_end = (
                                 self._plan_account(profile, created_time)
                                 if materializer is None
                                 else self._plan_account(
                                     profile, created_time, materializer
                                 )
                             )
-                            accounts.append(account)
-                            profiles.append(profile)
-                            ends.append(activity_end)
-                            built.append(materialized)
+                            activity_end = float(activity_end)
+                            summaries.append(
+                                self._finish_account(
+                                    account, len(accounts), activity_end
+                                )
+                            )
+                            accounts.append(
+                                MaterializedAccount(
+                                    advertiser=account.advertiser,
+                                    profile=profile,
+                                    activity_end=activity_end,
+                                    offers=account.offers,
+                                )
+                            )
                         if heartbeat and (day + 1) % heartbeat == 0:
                             elapsed = tracer.now() - phase_span.start
                             throughput = _day_throughput(
@@ -472,17 +451,6 @@ class SimulationEngine:
                             )
                         if on_day_complete is not None:
                             on_day_complete(day)
-                with obs.span("phase1.build", accounts=len(accounts)):
-                    summaries = [
-                        self._finish_account(
-                            profiles[row],
-                            accounts[row],
-                            row,
-                            float(ends[row]),
-                            built[row],
-                        )
-                        for row in range(len(accounts))
-                    ]
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -494,11 +462,16 @@ class SimulationEngine:
     ) -> tuple[list[MaterializedAccount], list[AccountSummary]]:
         """Phase 1: create every account with its detection outcome.
 
-        Runs the whole-horizon plan/build path
+        Runs the one-pass horizon path
         (:meth:`_generate_population_horizon`) with the batched
-        materializer; the output -- account columns, summaries and
-        post-generation RNG stream states -- is bit-identical to the
-        retained oracle, :meth:`generate_population_scalar`.
+        materializer and returns ``(accounts, summaries)``, one of each
+        per registration in order.  Each account keeps only what
+        :class:`~repro.simulator.market.MarketIndex` reads (advertiser,
+        profile, activity end, trimmed offers); its per-ad and per-bid
+        columns are empty, counted into its summary and freed.  The
+        output -- accounts, summaries and post-generation RNG stream
+        states -- is bit-identical to the retained oracle,
+        :meth:`generate_population_scalar`.
 
         ``on_day_complete(day)``, if given, is invoked after each day's
         registrations are fully generated -- the checkpoint runner's
@@ -513,8 +486,8 @@ class SimulationEngine:
     ) -> tuple[list[MaterializedAccount], list[AccountSummary]]:
         """The pre-vectorization Phase 1, kept as the oracle.
 
-        The same two whole-horizon passes, drawing one value at a time
-        through :func:`~repro.behavior.factory.materialize_account`.
+        The same one pass, drawing one value at a time through
+        :func:`~repro.behavior.factory.materialize_account`.
         Slow but simple enough to trust: the differential tests assert
         :meth:`generate_population` reproduces its accounts, summaries
         and RNG stream states exactly.
@@ -740,7 +713,9 @@ class SimulationEngine:
         One :class:`~repro.auction.gsp.Candidate` object per eligible
         offer, one scalar Poisson draw per shown ad.  Slow, but simple
         enough to trust: the differential and end-to-end regression
-        tests assert :meth:`run_auctions` reproduces its output exactly.
+        tests assert :meth:`run_auctions` reproduces its output exactly,
+        and that both bump the Phase-3 counters (queries sampled,
+        Poisson draws, clicks drawn, rows emitted) by the same amounts.
         """
         config = self.config
         sampler = QuerySampler(config.query)
@@ -756,6 +731,7 @@ class SimulationEngine:
             if len(buckets) == 0:
                 continue
             queries = sampler.sample_day(self._rng_queries)
+            _QUERIES_SAMPLED.inc(len(queries))
             slots = index.slots(queries)
             first = index.start[slots]
             stop = first + index.count[slots]
@@ -796,11 +772,11 @@ class SimulationEngine:
                     candidate = shown.candidate
                     examine = examination_probability(shown.placement, click_config)
                     p_click = min(1.0, examine * candidate.quality)
-                    clicks = (
-                        float(rng_clicks.poisson(weight * p_click))
-                        if p_click > 0
-                        else 0.0
-                    )
+                    clicks = 0.0
+                    if p_click > 0:
+                        clicks = float(rng_clicks.poisson(weight * p_click))
+                        _CLICK_DRAWS.inc()
+                        _CLICKS_DRAWN.inc(clicks)
                     # One row, in ImpressionTable.field_names() order.
                     day_rows.append(
                         (
@@ -821,6 +797,7 @@ class SimulationEngine:
                             candidate.fraud_labeled,
                         )
                     )
+            _ROWS_EMITTED.inc(len(day_rows))
             if day_rows:
                 builder.add_batch(
                     **dict(zip(fields, map(list, zip(*day_rows))))

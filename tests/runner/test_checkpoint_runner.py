@@ -1,12 +1,16 @@
 """Checkpoint runner basics: fresh runs, run-dir layout, guard rails."""
 
 import math
+import pickle
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigError, SimulationError
+from repro.records.atomic import sha256_bytes
 from repro.runner import CheckpointRunner, RunManifest
-from repro.simulator.engine import RNG_STREAMS
+from repro.runner.runner import MARKET_NAME, PHASE1_NAME, build_phase1, snapshot_bytes
+from repro.simulator.engine import RNG_STREAMS, SimulationEngine
 
 from .conftest import RUNNER_DAYS, assert_results_identical
 
@@ -51,6 +55,34 @@ class TestFreshRun:
         assert manifest.next_day == RUNNER_DAYS
         for chunk in manifest.chunks:
             assert set(chunk.rng_after) == set(RNG_STREAMS)
+
+    def test_snapshots_are_pickled_one_at_a_time(
+        self, completed_run, runner_config, monkeypatch
+    ):
+        """``market.pkl`` is pickled only once the caller has taken the
+        ``phase1.pkl`` blob, so a caller that drops each blob before it
+        asks for the next never holds both."""
+        runner, _ = completed_run
+        vouched = RunManifest.load(runner.manifest_path).artifacts
+        summaries, records, market = build_phase1(SimulationEngine(runner_config))
+        dumped = []
+
+        def dumps(obj, protocol):
+            dumped.append(obj)
+            return pickle.dumps(obj, protocol=protocol)
+
+        monkeypatch.setattr(
+            "repro.runner.runner.pickle",
+            SimpleNamespace(dumps=dumps, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL),
+        )
+        blobs = snapshot_bytes(summaries, records, market)
+        name, blob = next(blobs)
+        assert (name, len(dumped)) == (PHASE1_NAME, 1)
+        assert sha256_bytes(blob) == vouched[PHASE1_NAME]
+        name, blob = next(blobs)
+        assert name == MARKET_NAME and dumped[1] is market
+        assert sha256_bytes(blob) == vouched[MARKET_NAME]
+        assert next(blobs, None) is None
 
     def test_completed_run_reloads_without_resimulating(
         self, completed_run, runner_config, baseline

@@ -10,28 +10,45 @@ differential tests live in ``tests/auction/test_batch_equivalence.py``).
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.config import small_config
 from repro.records.impressions import ImpressionBuilder, ImpressionTable
 from repro.simulator.engine import SimulationEngine
 from repro.simulator.market import MarketIndex
 
+#: The Phase-3 counters both paths bump.
+PHASE3_COUNTERS = (
+    "auction.rows_emitted",
+    "auction.queries_sampled",
+    "clicks.poisson_draws",
+    "clickmodel.clicks_drawn",
+)
 
-def _phase3_table(config, scalar: bool) -> ImpressionTable:
+
+def _phase3_run(config, scalar: bool) -> tuple[ImpressionTable, dict]:
+    """Phase 3's table and how much it moved each Phase-3 counter."""
     engine = SimulationEngine(config)
     accounts, _ = engine.generate_population()
     market = MarketIndex(accounts)
     builder = ImpressionBuilder()
+    before = {name: obs.counter(name).value for name in PHASE3_COUNTERS}
     if scalar:
         engine.run_auctions_scalar(market, builder)
     else:
         engine.run_auctions(market, builder)
-    return builder.build()
+    deltas = {name: obs.counter(name).value - before[name] for name in PHASE3_COUNTERS}
+    return builder.build(), deltas
 
 
 @pytest.fixture(scope="module")
-def tables():
+def runs():
     config = small_config(seed=31, days=90)
-    return _phase3_table(config, scalar=False), _phase3_table(config, scalar=True)
+    return _phase3_run(config, scalar=False), _phase3_run(config, scalar=True)
+
+
+@pytest.fixture(scope="module")
+def tables(runs):
+    return tuple(table for table, _ in runs)
 
 
 class TestBatchedEngineRegression:
@@ -43,6 +60,12 @@ class TestBatchedEngineRegression:
             right = getattr(scalar, name)
             assert left.dtype == right.dtype, name
             np.testing.assert_array_equal(left, right, err_msg=name)
+
+    def test_counters_bumped_identically(self, runs):
+        (batched_table, batched), (_, scalar) = runs
+        assert batched == scalar
+        assert batched["auction.rows_emitted"] == len(batched_table)
+        assert all(batched[name] > 0 for name in PHASE3_COUNTERS)
 
     def test_per_advertiser_aggregates_match(self, tables):
         """The satellite guarantee: per-advertiser totals line up.
@@ -72,7 +95,7 @@ class TestBatchedEngineRegression:
 
         config = small_config(seed=31, days=90)
         result = run_simulation(config)
-        batched = _phase3_table(config, scalar=False)
+        batched, _ = _phase3_run(config, scalar=False)
         np.testing.assert_array_equal(result.impressions.clicks, batched.clicks)
         np.testing.assert_array_equal(result.impressions.spend, batched.spend)
 

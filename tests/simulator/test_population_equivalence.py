@@ -2,10 +2,17 @@
 
 :meth:`SimulationEngine.generate_population` (the batched materializer)
 must reproduce :meth:`SimulationEngine.generate_population_scalar`
-exactly on a same-seed engine: every account summary, every account
-column, the pickled market, and -- the strongest invariant -- the bit
+exactly on a same-seed engine: every account summary, every returned
+account, the pickled market, and -- the strongest invariant -- the bit
 state of all five named RNG streams after generation, which any skipped
 or reordered draw would break.
+
+Phase 1 frees each account's per-ad and per-bid columns once it is
+summarized, so the returned accounts hold only the advertiser, profile,
+activity end and offers; the summaries are what carry the columns'
+counts and sums here.  Column-level equivalence of the two
+materializers, every column compared after the same trim, lives in
+``tests/behavior/test_batch_materializer.py``.
 """
 
 import pickle

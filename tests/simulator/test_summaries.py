@@ -1,20 +1,51 @@
 """Tests for the engine's per-account summaries (bid statistics etc.)."""
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import small_config
+from repro.behavior import MaterializedAccount, materialize_account_batch
 from repro.simulator import SimulationEngine
+
+#: The only fields of an account that outlive Phase 1: what
+#: ``MarketIndex`` reads.
+MARKET_FIELDS = ("advertiser", "profile", "activity_end", "offers")
 
 
 @pytest.fixture(scope="module")
 def result_with_entities():
-    """Phase 1's account columns beside the summaries built from them."""
+    """Phase 1's returned accounts beside their summaries."""
     config = small_config(seed=55, days=40)
     accounts, summaries = SimulationEngine(config).generate_population()
     return SimpleNamespace(config=config, accounts=summaries, columns=accounts)
+
+
+@pytest.fixture(scope="module")
+def drawn_columns():
+    """Every materialized account's trimmed columns and its summary.
+
+    Phase 1 frees an account's columns once ``_finish_account`` has
+    trimmed and summarized it, so the materializer is wrapped to keep a
+    reference to each account it draws; the engine's trim is in place,
+    so each kept account holds exactly the columns its summary counted.
+    """
+    config = small_config(seed=55, days=40)
+    drawn: list[MaterializedAccount] = []
+
+    def materialize(*args):
+        account = materialize_account_batch(*args)
+        drawn.append(account)
+        return account
+
+    engine = SimulationEngine(config)
+    _, summaries = engine._generate_population_horizon(materializer=materialize)
+    by_id = {summary.advertiser_id: summary for summary in summaries}
+    pairs = [(by_id[account.advertiser.advertiser_id], account) for account in drawn]
+    assert len(pairs) > 100
+    return SimpleNamespace(config=config, pairs=pairs)
 
 
 def _bids(account):
@@ -24,13 +55,9 @@ def _bids(account):
 
 
 class TestBidStatistics:
-    def test_counts_match_entities(self, result_with_entities):
-        result = result_with_entities
+    def test_counts_match_entities(self, drawn_columns):
         checked = 0
-        for summary, account in zip(result.accounts, result.columns):
-            if not account.kw_creation_times:
-                continue
-            checked += 1
+        for summary, account in drawn_columns.pairs:
             expected = np.zeros(3)
             expected_sum = np.zeros(3)
             for code, max_bid in _bids(account):
@@ -38,14 +65,12 @@ class TestBidStatistics:
                 expected_sum[code] += max_bid
             np.testing.assert_array_equal(summary.bid_count_by_match, expected)
             np.testing.assert_array_equal(summary.bid_sum_by_match, expected_sum)
-            if checked > 50:
-                break
-        assert checked > 10
+            checked += bool(account.kw_creation_times)
+        assert checked > 100
 
-    def test_above_default_consistent(self, result_with_entities):
-        result = result_with_entities
-        default = result.config.auction.default_max_bid
-        for summary, account in list(zip(result.accounts, result.columns))[:200]:
+    def test_above_default_consistent(self, drawn_columns):
+        default = drawn_columns.config.auction.default_max_bid
+        for summary, account in drawn_columns.pairs:
             expected = np.zeros(3)
             for code, max_bid in _bids(account):
                 if max_bid > default * 1.0001:
@@ -54,15 +79,14 @@ class TestBidStatistics:
                 summary.bid_above_default_by_match, expected
             )
 
-    def test_keyword_counts_match(self, result_with_entities):
-        result = result_with_entities
-        for summary, account in list(zip(result.accounts, result.columns))[:200]:
+    def test_keyword_counts_match(self, drawn_columns):
+        for summary, account in drawn_columns.pairs:
             assert summary.n_keywords == sum(1 for _ in _bids(account))
+            assert summary.n_keywords == len(account.kw_creation_times)
             assert summary.n_ads == len(account.ad_ids)
 
-    def test_domains_counted(self, result_with_entities):
-        result = result_with_entities
-        for summary, account in list(zip(result.accounts, result.columns))[:200]:
+    def test_domains_counted(self, drawn_columns):
+        for summary, account in drawn_columns.pairs:
             assert summary.n_domains == len(set(account.ad_domains))
 
 
@@ -79,3 +103,20 @@ class TestPopulationOutput:
     def test_summaries_in_registration_order(self, result_with_entities):
         days = [int(summary.created_time) for summary in result_with_entities.accounts]
         assert days == sorted(days)
+
+    def test_accounts_keep_only_what_the_market_reads(self, result_with_entities):
+        """Per-ad and per-bid columns die with the account's turn."""
+        result = result_with_entities
+        dropped = [
+            field.name
+            for field in fields(MaterializedAccount)
+            if field.name not in MARKET_FIELDS
+        ]
+        assert "kw_idx_cols" in dropped and "ad_ids" in dropped
+        for account, summary in zip(result.columns, result.accounts):
+            for name in dropped:
+                assert not getattr(account, name), name
+            assert account.activity_end == summary.activity_end
+        offers = sum(len(account.offers) for account in result.columns)
+        keywords = sum(summary.n_keywords for summary in result.accounts)
+        assert keywords > offers > 0
