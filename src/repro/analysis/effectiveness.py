@@ -1,4 +1,4 @@
-"""Advertiser effectiveness (Section 4.2).
+"""Effectiveness of advertisers (Section 4.2).
 
 CTR and CPC comparisons between populations: fraud click-through rates
 run slightly *below* their non-fraudulent counterparts except for the

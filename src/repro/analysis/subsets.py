@@ -1,4 +1,4 @@
-"""Advertiser subset construction (Section 3.3).
+"""Construction of advertiser subsets (Section 3.3).
 
 Eleven subset types, each ~``target_size`` advertisers drawn from the
 pool active during a measurement window:

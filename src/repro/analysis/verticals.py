@@ -56,7 +56,7 @@ def vertical_spend_by_month(
     ids = table.advertiser_id[fraud_rows]
 
     if min_monthly_spend > 0:
-        # Advertiser x month spend filter.
+        # Per (advertiser, month) spend filter.
         key = ids * n_months + months
         unique, inverse = np.unique(key, return_inverse=True)
         totals = np.bincount(inverse, weights=spend)

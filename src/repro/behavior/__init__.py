@@ -1,4 +1,4 @@
-"""Advertiser behaviour models: profiles, bidding styles, materialization."""
+"""Behaviour models of advertisers: profiles, bidding styles, materialization."""
 
 from .batch import materialize_account_batch
 from .bidding import BidLevels, MatchMix, sample_bid_levels, sample_match_mix

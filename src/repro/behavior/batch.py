@@ -39,9 +39,8 @@ import numpy as np
 from .. import obs
 from ..auction.quality import MATCH_RELEVANCE
 from ..config import SimulationConfig
-from ..entities.advertiser import Advertiser
 from ..entities.enums import MatchType
-from ..taxonomy.adcopy import AdCopy, render_ad, templates_for
+from ..taxonomy.adcopy import render_ad, templates_for
 from ..taxonomy.geography import country as country_info
 from ..taxonomy.keywords import evasive_keyword_tables, keyword_cdf
 from ..taxonomy.verticals import vertical as vertical_info
@@ -53,7 +52,6 @@ from .factory import (
     _creation_times,
     _destination_domains,
 )
-from .profiles import AdvertiserProfile
 
 __all__ = ["materialize_account_batch"]
 
@@ -77,21 +75,20 @@ _DRAWS_RECORDED = obs.counter("population.draws_recorded")
 
 
 def materialize_account_batch(
-    advertiser: Advertiser,
-    profile: AdvertiserProfile,
+    account: MaterializedAccount,
     first_ad_time: float,
     horizon: float,
     config: SimulationConfig,
     ids: IdAllocator,
     rng: np.random.Generator,
-) -> MaterializedAccount:
-    """Draw an account's ads and keyword bids -- fast.
+) -> None:
+    """Draw an account's ads and keyword bids into ``account`` -- fast.
 
     Bit-identical to :func:`repro.behavior.factory.materialize_account`:
     the same columns, and the same ``rng`` state afterwards.
     """
-    advertiser.record_first_ad(first_ad_time)
-
+    profile = account.profile
+    account.first_ad_time = first_ad_time
     n_ads = profile.n_ads
     domains = _destination_domains(profile, n_ads, rng)
     ad_times = _creation_times(n_ads, first_ad_time, horizon, rng)
@@ -106,10 +103,6 @@ def materialize_account_batch(
     # the hot loop.  Keyword picks and match types are recorded as pool
     # indices / match codes.
     preps = []
-    kw_idx_cols: list[list[int]] = []
-    mcode_cols: list[list[int]] = []
-    max_bid_cols: list[list[float]] = []
-    created_cols: list[list[float]] = []
     for vertical_name in profile.verticals:
         avoid = (
             is_fraud
@@ -129,10 +122,10 @@ def materialize_account_batch(
         mcode_col: list[int] = []
         max_bid_col: list[float] = []
         created_col: list[float] = []
-        kw_idx_cols.append(kw_idx_col)
-        mcode_cols.append(mcode_col)
-        max_bid_cols.append(max_bid_col)
-        created_cols.append(created_col)
+        account.kw_idx_cols.append(kw_idx_col)
+        account.mcode_cols.append(mcode_col)
+        account.max_bid_cols.append(max_bid_col)
+        account.created_cols.append(created_col)
         preps.append(
             (
                 vertical_name,
@@ -162,7 +155,7 @@ def materialize_account_batch(
     mcdf = profile.match_mix.cdf().tolist()
     rel = _MATCH_RELEVANCE
     max_indexed = MAX_INDEXED_OFFERS_PER_CAMPAIGN
-    aq_rank = advertiser.quality * profile.rank_gaming
+    aq_rank = profile.quality * profile.rank_gaming
 
     rand = rng.random
     lognormal = rng.lognormal
@@ -174,13 +167,12 @@ def materialize_account_batch(
     bisect = bisect_right
 
     ad_ids = [ids.ad_id() for _ in range(n_ads)]
-    copies: list[AdCopy] = []
-    kw_creation_times: list[float] = []
-    ad_mod_times: list[float] = []
-    kw_mod_times: list[float] = []
+    copies = account.ad_copies
+    kw_creation_times = account.kw_creation_times
+    ad_mod_times = account.ad_mod_times
+    kw_mod_times = account.kw_mod_times
     indexed = [0] * n_campaigns
-    offers: list[tuple] = []
-    offer_append = offers.append
+    offer_append = account.offers.append
 
     for ad_index, created in enumerate(ad_times):
         pos = ad_index % n_campaigns
@@ -288,19 +280,6 @@ def materialize_account_batch(
     )
     for target in profile.target_countries:
         country_info(target)
-    return MaterializedAccount(
-        advertiser=advertiser,
-        profile=profile,
-        ad_ids=ad_ids,
-        ad_copies=copies,
-        ad_domains=[domains[i % n_domains] for i in range(n_ads)],
-        ad_creation_times=ad_times,
-        kw_idx_cols=kw_idx_cols,
-        mcode_cols=mcode_cols,
-        max_bid_cols=max_bid_cols,
-        created_cols=created_cols,
-        kw_creation_times=kw_creation_times,
-        offers=offers,
-        ad_mod_times=ad_mod_times,
-        kw_mod_times=kw_mod_times,
-    )
+    account.ad_ids = ad_ids
+    account.ad_domains = [domains[i % n_domains] for i in range(n_ads)]
+    account.ad_creation_times = ad_times

@@ -27,13 +27,13 @@ import numpy as np
 
 from ..auction.quality import quality_score
 from ..config import SimulationConfig
-from ..entities.advertiser import Advertiser
 from ..entities.domains import (
     AFFILIATE_DOMAINS,
     SHORTENER_DOMAINS,
     sample_domain_count,
     unique_domain,
 )
+from ..entities.enums import ShutdownReason
 from ..records.codes import match_code
 from ..taxonomy.adcopy import AdCopy, render_ad
 from ..taxonomy.geography import country as country_info
@@ -68,7 +68,18 @@ class IdAllocator:
 
 @dataclass
 class MaterializedAccount:
-    """One account's Phase-1 draws, held as plain columns.
+    """One advertiser account: its identity, outcome and Phase-1 draws.
+
+    The engine builds exactly one per registration, with its
+    ``advertiser_id``, ``profile`` and ``created_time`` (registration,
+    fractional days), and each Phase-1 step fills it in place.  The
+    materializer sets ``first_ad_time`` (``None`` if the account never
+    posts) and the columns below.  A detection within the study sets
+    ``shutdown_time``, ``shutdown_reason`` and ``labeled_fraud``; that
+    label, not ground truth (``profile.kind``), is what the analyses
+    read, as the paper's do, so fraud that evades detection for the
+    whole study is analysed as non-fraudulent.  ``activity_end``, when
+    the account stops competing, follows from detection or dormancy.
 
     Campaign ``c`` is ``(profile.verticals[c],
     profile.target_countries[c])`` and owns ads ``c, c+n, c+2n, ...``
@@ -89,20 +100,20 @@ class MaterializedAccount:
       attributes.
     * ``ad_mod_times`` / ``kw_mod_times``: maintenance event times.
 
-    ``activity_end`` is filled in by the engine once the detection
-    outcome (or dormancy) fixes when the account stops competing.
-
-    The columns live only for the account's turn in Phase 1: the
-    engine trims and summarizes the account as soon as its draws are
-    done, and keeps a ``MaterializedAccount`` of just ``advertiser``,
-    ``profile``, ``activity_end`` and the trimmed ``offers``, which is
-    what :class:`~repro.simulator.market.MarketIndex` reads.  The
-    accounts :meth:`~repro.simulator.engine.SimulationEngine.generate_population`
-    returns therefore have empty per-ad and per-bid columns.
+    The per-ad and per-bid columns live only for the account's turn in
+    Phase 1: the engine trims and summarizes the account as soon as its
+    draws are done, then :meth:`free_inventory` empties them.  The
+    scalar fields, the profile and the trimmed offers stay;
+    :class:`~repro.simulator.market.MarketIndex` reads them.
     """
 
-    advertiser: Advertiser
+    advertiser_id: int
     profile: AdvertiserProfile
+    created_time: float
+    first_ad_time: float | None = None
+    shutdown_time: float | None = None
+    shutdown_reason: ShutdownReason | None = None
+    labeled_fraud: bool = False
     activity_end: float = float("inf")
     ad_ids: list[int] = field(default_factory=list)
     ad_copies: list[AdCopy] = field(default_factory=list)
@@ -137,6 +148,15 @@ class MaterializedAccount:
         del self.offers[bisect_left(self.offers, end_time, key=_offer_created) :]
         self.ad_mod_times = [t for t in self.ad_mod_times if t < end_time]
         self.kw_mod_times = [t for t in self.kw_mod_times if t < end_time]
+
+    def free_inventory(self) -> None:
+        """Empty every per-ad and per-bid column; the offers stay."""
+        for column in (
+            self.ad_ids, self.ad_copies, self.ad_domains, self.ad_creation_times,
+            self.kw_idx_cols, self.mcode_cols, self.max_bid_cols, self.created_cols,
+            self.kw_creation_times, self.ad_mod_times, self.kw_mod_times,
+        ):
+            column.clear()
 
 
 def _creation_times(
@@ -218,33 +238,30 @@ def _mod_events(
 
 
 def materialize_account(
-    advertiser: Advertiser,
-    profile: AdvertiserProfile,
+    account: MaterializedAccount,
     first_ad_time: float,
     horizon: float,
     config: SimulationConfig,
     ids: IdAllocator,
     rng: np.random.Generator,
-) -> MaterializedAccount:
+) -> None:
     """Draw an account's ads and keyword bids, one draw at a time.
 
     The scalar oracle of
-    :func:`~repro.behavior.batch.materialize_account_batch`.  Ads are
-    split round-robin across the profile's campaigns; keyword bids
-    attach to their ad's campaign.  Call
+    :func:`~repro.behavior.batch.materialize_account_batch`.  Fills the
+    freshly registered ``account`` in place: ``first_ad_time`` and
+    every column.  Ads are split round-robin across the profile's
+    campaigns; keyword bids attach to their ad's campaign.  Call
     :meth:`MaterializedAccount.trim` once the detection pipeline fixes
     the account's true end time.
     """
+    profile = account.profile
     n_campaigns = len(profile.verticals)
-    account = MaterializedAccount(
-        advertiser=advertiser,
-        profile=profile,
-        kw_idx_cols=[[] for _ in range(n_campaigns)],
-        mcode_cols=[[] for _ in range(n_campaigns)],
-        max_bid_cols=[[] for _ in range(n_campaigns)],
-        created_cols=[[] for _ in range(n_campaigns)],
-    )
-    advertiser.record_first_ad(first_ad_time)
+    account.first_ad_time = first_ad_time
+    account.kw_idx_cols = [[] for _ in range(n_campaigns)]
+    account.mcode_cols = [[] for _ in range(n_campaigns)]
+    account.max_bid_cols = [[] for _ in range(n_campaigns)]
+    account.created_cols = [[] for _ in range(n_campaigns)]
 
     domains = _destination_domains(profile, profile.n_ads, rng)
     ad_times = _creation_times(profile.n_ads, first_ad_time, horizon, rng)
@@ -312,7 +329,7 @@ def materialize_account(
                         code,
                         max_bid,
                         quality_score(
-                            advertiser.quality * profile.rank_gaming,
+                            profile.quality * profile.rank_gaming,
                             engagement,
                             base_ctr,
                             match_type,
@@ -324,4 +341,3 @@ def materialize_account(
     # Sanity: country info must exist for every campaign target.
     for target in profile.target_countries:
         country_info(target)
-    return account

@@ -1,4 +1,4 @@
-"""Advertiser behaviour profiles.
+"""Behaviour profiles of advertisers.
 
 A profile captures everything the simulator needs to know about how an
 account *intends* to behave: which verticals and markets it targets,

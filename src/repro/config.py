@@ -164,7 +164,7 @@ class ClickConfig:
 
 @dataclass(frozen=True)
 class BehaviorConfig:
-    """Advertiser behaviour distributions (see :mod:`repro.behavior`)."""
+    """Behaviour distributions of advertisers (see :mod:`repro.behavior`)."""
 
     #: Lognormal (mu, sigma) of a non-fraudulent account's ad count.
     nonfraud_ads_mu: float = 3.4

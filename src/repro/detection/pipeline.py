@@ -132,7 +132,7 @@ class DetectionPipeline:
         )
         candidates.append((behavioral_time, behavioral_reason))
         policy_time = self.policy.sweep_time(
-            profile.verticals, account.advertiser.created_time, first_ad_time, rng
+            profile.verticals, account.created_time, first_ad_time, rng
         )
         if policy_time is not None:
             candidates.append((policy_time, ShutdownReason.POLICY_CHANGE))

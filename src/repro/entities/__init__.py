@@ -1,10 +1,10 @@
-"""Marketplace entities: the advertiser account, enums and domains.
+"""Marketplace vocabulary: the shared enums and destination domains.
 
-Ads and keyword bids are not objects: Phase 1 records them as plain
-columns of :class:`repro.behavior.factory.MaterializedAccount`.
+Phase 1 builds no entity object.  An account, with its ads and keyword
+bids as plain columns and its detection outcome as plain fields, is one
+:class:`repro.behavior.factory.MaterializedAccount`.
 """
 
-from .advertiser import Advertiser
 from .domains import (
     AFFILIATE_DOMAINS,
     SHORTENER_DOMAINS,
@@ -12,11 +12,9 @@ from .domains import (
     shared_domains,
     unique_domain,
 )
-from .enums import AccountStatus, AdvertiserKind, MatchType, ShutdownReason
+from .enums import AdvertiserKind, MatchType, ShutdownReason
 
 __all__ = [
-    "Advertiser",
-    "AccountStatus",
     "AdvertiserKind",
     "MatchType",
     "ShutdownReason",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["MatchType", "AdvertiserKind", "AccountStatus", "ShutdownReason"]
+__all__ = ["MatchType", "AdvertiserKind", "ShutdownReason"]
 
 
 class MatchType(enum.Enum):
@@ -34,16 +34,6 @@ class AdvertiserKind(enum.Enum):
     def is_fraud(self) -> bool:
         """Whether the kind is a fraud population."""
         return self is not AdvertiserKind.LEGITIMATE
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-
-class AccountStatus(enum.Enum):
-    """Lifecycle state of an advertiser account."""
-
-    ACTIVE = "active"
-    SHUTDOWN = "shutdown"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -87,7 +87,6 @@ __all__ = [
     "MARKET_NAME",
     "TELEMETRY_NAME",
     "DAYLEDGER_NAME",
-    "build_phase1",
     "snapshot_bytes",
 ]
 
@@ -122,21 +121,6 @@ def snapshot_bytes(
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     yield MARKET_NAME, pickle.dumps(market, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def build_phase1(
-    engine: SimulationEngine, on_day_complete=None
-) -> tuple[list[AccountSummary], list[DetectionRecord], MarketIndex]:
-    """Phases 1 and 2 from the engine's seed: the account summaries,
-    the detection records and the market, which is what
-    :func:`snapshot_bytes` stores.  The runner and the doctor's full
-    replay both build them here."""
-    accounts, summaries = engine.generate_population(
-        on_day_complete=on_day_complete
-    )
-    with obs.span("phase2.market", accounts=len(accounts)):
-        market = MarketIndex(accounts)
-    return summaries, engine.pipeline.records, market
 
 
 class CheckpointRunner:
@@ -356,7 +340,6 @@ class CheckpointRunner:
                 self._sampler.set_phase("phase3")
                 chunks += self._run_phase3(engine, market, manifest)
                 self._faults.fire("finalize")
-                self._sampler.set_phase(None)
                 self._flush_ledger(manifest)
                 manifest.phase = "complete"
                 manifest.save(self.manifest_path)
@@ -402,7 +385,7 @@ class CheckpointRunner:
         def on_day(day: int) -> None:
             self._faults.fire("phase1:day", day=day)
 
-        summaries, records, market = build_phase1(engine, on_day_complete=on_day)
+        summaries, records, market = engine.build_phase1(on_day_complete=on_day)
         manifest.artifacts = {}
         for name, blob in snapshot_bytes(summaries, records, market):
             atomic_write_bytes(self.run_dir / name, blob)

@@ -9,11 +9,13 @@ Runs in three phases:
    can be generated before any auction runs.  A detection sampled to
    land *after* the study end is discarded: that account is analysed
    as non-fraudulent, exactly as undetected fraud is at Bing.
-   Each account is trimmed and summarized as soon as its draws are
-   done, in the same pass; only its summary and its auction offers
-   outlive its turn, so no per-ad or per-bid column is held across
-   the horizon.  Materialization runs through the batched path
-   (:func:`~repro.behavior.batch.materialize_account_batch`): grouped
+   Each registration is one
+   :class:`~repro.behavior.factory.MaterializedAccount`, trimmed and
+   summarized as soon as its draws are done, in the same pass; only
+   its summary, its identity and outcome fields, its profile and its
+   auction offers outlive its turn, so no per-ad or per-bid column is
+   held across the horizon.  Materialization runs through the batched
+   path (:func:`~repro.behavior.batch.materialize_account_batch`): grouped
    numpy draws on the same named streams in the same draw order as the
    scalar factory, so the population -- and everything downstream --
    is bit-identical to :meth:`SimulationEngine.generate_population_scalar`,
@@ -57,11 +59,11 @@ from ..behavior.profiles import AdvertiserProfile
 from ..clickmodel.position_bias import examination_probability, examination_table
 from ..config import SimulationConfig
 from ..detection.pipeline import DetectionOutcome, DetectionPipeline
-from ..entities.advertiser import Advertiser
 from ..entities.enums import ShutdownReason
 from ..errors import SimulationError
 from ..records.codes import match_code, match_type_from_code
 from ..records.impressions import ImpressionBuilder, ImpressionTable
+from ..records.schemas import DetectionRecord
 from ..rng import stream
 from ..taxonomy.geography import country as country_info
 from .market import MarketIndex, bucket_keys
@@ -169,79 +171,54 @@ class SimulationEngine:
     # Phase 1: population
     # ------------------------------------------------------------------
 
-    def _new_advertiser(
-        self, profile: AdvertiserProfile, created_time: float
-    ) -> Advertiser:
-        self._next_advertiser_id += 1
-        info = country_info(profile.country)
-        return Advertiser(
-            advertiser_id=self._next_advertiser_id,
-            kind=profile.kind,
-            created_time=created_time,
-            country=profile.country,
-            language=info.language,
-            currency=info.currency,
-            activity_scale=profile.activity_scale,
-            quality=profile.quality,
-            evasion_skill=profile.evasion_skill,
-            uses_stolen_payment=profile.uses_stolen_payment,
-        )
-
     def _plan_account(
         self,
         profile: AdvertiserProfile,
         created_time: float,
         materializer=materialize_account_batch,
-    ) -> tuple[MaterializedAccount, float]:
-        """Every RNG draw for one account; trim and summary deferred.
+    ) -> MaterializedAccount:
+        """Register one account and make every RNG draw it takes.
 
-        Performs the draw-bearing half of account generation -- screen,
+        Builds the account's one :class:`MaterializedAccount` and
+        performs the draw-bearing half of account generation -- screen,
         materialize, evaluate, commit, dormancy -- in the canonical
-        per-account order, and returns ``(account, activity_end)``.
-        An account screened out or registered too late to post is
-        returned empty.  :meth:`_finish_account` (trim + summary),
-        which draws nothing, finishes it.
+        per-account order, filling in its first-ad time, detection
+        outcome and ``activity_end``.  An account screened out or
+        registered too late to post keeps empty columns.
+        :meth:`_finish_account` (trim, summary, free), which draws
+        nothing, finishes it.
         """
         total_days = float(self.config.days)
         rng_d = self._rng_detection
         rng_p = self._rng_population
-        advertiser = self._new_advertiser(profile, created_time)
-
-        empty = MaterializedAccount(advertiser=advertiser, profile=profile)
+        self._next_advertiser_id += 1
+        account = MaterializedAccount(
+            advertiser_id=self._next_advertiser_id,
+            profile=profile,
+            created_time=created_time,
+            activity_end=total_days,
+        )
 
         if profile.is_fraud:
             screen_time = self.pipeline.screen_registration(
                 profile, created_time, rng_d
             )
-            if screen_time is not None and screen_time >= total_days:
-                # Screened, but the freeze lands after the study ends:
-                # within the study this account is simply a pending
-                # registration that never posts.
-                return empty, total_days
             if screen_time is not None:
-                advertiser.shutdown(
-                    screen_time, ShutdownReason.REGISTRATION_SCREEN, True
-                )
-                self.pipeline.commit(
-                    advertiser.advertiser_id,
-                    DetectionOutcome(
+                # A freeze that lands after the study ends leaves, within
+                # the study, a pending registration that never posts.
+                if screen_time < total_days:
+                    screened = DetectionOutcome(
                         screen_time, ShutdownReason.REGISTRATION_SCREEN, True
-                    ),
-                )
-                return empty, min(screen_time, total_days)
+                    )
+                    self._shut_down(account, screened)
+                return account
 
         first_ad_time = created_time + profile.first_ad_delay
         if first_ad_time >= total_days:
-            return empty, total_days
+            return account
 
-        account = materializer(
-            advertiser,
-            profile,
-            first_ad_time,
-            total_days,
-            self.config,
-            self._ids,
-            rng_p,
+        materializer(
+            account, first_ad_time, total_days, self.config, self._ids, rng_p
         )
         if profile.is_fraud:
             outcome = self.pipeline.evaluate_fraud_account(
@@ -252,32 +229,36 @@ class SimulationEngine:
                 created_time, rng_d, total_days
             )
         if outcome.detected and outcome.shutdown_time < total_days:
-            advertiser.shutdown(
-                outcome.shutdown_time, outcome.reason, outcome.labeled_fraud
-            )
-            domains = sorted(set(account.ad_domains))
-            self.pipeline.commit(advertiser.advertiser_id, outcome, domains)
-            activity_end = outcome.shutdown_time
-        else:
-            # Not detected within the study: analysed as non-fraudulent.
-            activity_end = total_days
-            if not profile.is_fraud:
-                dormancy = float(rng_p.exponential(LEGIT_DORMANCY_MEAN_DAYS))
-                activity_end = min(total_days, created_time + dormancy)
-        return account, activity_end
+            self._shut_down(account, outcome, sorted(set(account.ad_domains)))
+        elif not profile.is_fraud:
+            # An undetected legitimate account goes dormant; undetected
+            # fraud (analysed as non-fraudulent) competes to the end.
+            dormancy = float(rng_p.exponential(LEGIT_DORMANCY_MEAN_DAYS))
+            account.activity_end = min(total_days, created_time + dormancy)
+        return account
+
+    def _shut_down(self, account, outcome, domains=None) -> None:
+        """Freeze ``account`` at ``outcome``, a detection inside the
+        study, and commit its record (and domains) to the pipeline."""
+        account.shutdown_time = outcome.shutdown_time
+        account.shutdown_reason = outcome.reason
+        account.labeled_fraud = outcome.labeled_fraud
+        account.activity_end = float(outcome.shutdown_time)
+        self.pipeline.commit(account.advertiser_id, outcome, domains)
 
     def _finish_account(
-        self, account: MaterializedAccount, adv_row: int, activity_end: float
+        self, account: MaterializedAccount, adv_row: int
     ) -> AccountSummary:
-        """The draw-free tail of account generation: trim, then summarize.
+        """The draw-free tail of account generation: trim, summarize, free.
 
         Never touches an RNG stream.  An account that never
         materialized has empty columns, so its trim is a no-op and its
-        summary counts nothing.
+        summary counts nothing.  Once counted, its per-ad and per-bid
+        columns are freed (:meth:`MaterializedAccount.free_inventory`).
         """
-        account.trim(activity_end)
-        advertiser = account.advertiser
+        account.trim(account.activity_end)
         profile = account.profile
+        info = country_info(profile.country)
         default_bid = self.config.auction.default_max_bid
         bid_count = np.zeros(3)
         bid_sum = np.zeros(3)
@@ -295,23 +276,23 @@ class SimulationEngine:
             bid_above = np.bincount(
                 mcodes[max_bids > default_bid * 1.0001], minlength=3
             ).astype(np.float64)
-        return AccountSummary(
-            advertiser_id=advertiser.advertiser_id,
+        summary = AccountSummary(
+            advertiser_id=account.advertiser_id,
             adv_row=adv_row,
-            kind=advertiser.kind,
-            labeled_fraud=advertiser.labeled_fraud,
-            created_time=advertiser.created_time,
-            first_ad_time=advertiser.first_ad_time,
-            shutdown_time=advertiser.shutdown_time,
+            kind=profile.kind,
+            labeled_fraud=account.labeled_fraud,
+            created_time=account.created_time,
+            first_ad_time=account.first_ad_time,
+            shutdown_time=account.shutdown_time,
             shutdown_reason=(
-                advertiser.shutdown_reason.value
-                if advertiser.shutdown_reason is not None
+                account.shutdown_reason.value
+                if account.shutdown_reason is not None
                 else None
             ),
-            activity_end=activity_end,
-            country=advertiser.country,
-            language=advertiser.language,
-            currency=advertiser.currency,
+            activity_end=account.activity_end,
+            country=profile.country,
+            language=info.language,
+            currency=info.currency,
             verticals=profile.verticals,
             n_ads=len(account.ad_creation_times),
             n_keywords=len(account.kw_creation_times),
@@ -327,6 +308,8 @@ class SimulationEngine:
             participation=profile.participation_prob,
             quality=profile.quality,
         )
+        account.free_inventory()
+        return summary
 
     def _draw_day_registrations(self, day, rng, schedule, ledger):
         """Yield one day's ``(profile, created_time)`` pairs lazily.
@@ -375,12 +358,12 @@ class SimulationEngine:
         """Phase 1 as one pass over the horizon.
 
         The pass performs every RNG draw in the canonical order
-        (:meth:`_plan_account`) and finishes each account -- trim and
-        summary, :meth:`_finish_account`, which draws nothing -- as
-        soon as its draws are done.  Only the summary and the four
-        fields :class:`~repro.simulator.market.MarketIndex` reads (the
-        advertiser, the profile, the activity end and the trimmed
-        offers) outlive the account's turn; its per-ad and per-bid
+        (:meth:`_plan_account`) and finishes each account -- trim,
+        summary and free, :meth:`_finish_account`, which draws nothing
+        -- as soon as its draws are done.  Only the summary and the
+        account's one :class:`MaterializedAccount`, holding its id,
+        times, detection outcome, profile, activity end and trimmed
+        offers, outlive the account's turn; its per-ad and per-bid
         columns are freed there, so memory does not grow with every
         bid of the horizon.  Day-boundary side-effects (ledger rows,
         heartbeats, ``on_day_complete``) fire after each day's
@@ -416,27 +399,17 @@ class SimulationEngine:
                         for profile, created_time in self._draw_day_registrations(
                             day, rng, schedule, ledger
                         ):
-                            account, activity_end = (
+                            account = (
                                 self._plan_account(profile, created_time)
                                 if materializer is None
                                 else self._plan_account(
                                     profile, created_time, materializer
                                 )
                             )
-                            activity_end = float(activity_end)
                             summaries.append(
-                                self._finish_account(
-                                    account, len(accounts), activity_end
-                                )
+                                self._finish_account(account, len(accounts))
                             )
-                            accounts.append(
-                                MaterializedAccount(
-                                    advertiser=account.advertiser,
-                                    profile=profile,
-                                    activity_end=activity_end,
-                                    offers=account.offers,
-                                )
-                            )
+                            accounts.append(account)
                         if heartbeat and (day + 1) % heartbeat == 0:
                             elapsed = tracer.now() - phase_span.start
                             throughput = _day_throughput(
@@ -465,13 +438,12 @@ class SimulationEngine:
         Runs the one-pass horizon path
         (:meth:`_generate_population_horizon`) with the batched
         materializer and returns ``(accounts, summaries)``, one of each
-        per registration in order.  Each account keeps only what
-        :class:`~repro.simulator.market.MarketIndex` reads (advertiser,
-        profile, activity end, trimmed offers); its per-ad and per-bid
-        columns are empty, counted into its summary and freed.  The
-        output -- accounts, summaries and post-generation RNG stream
-        states -- is bit-identical to the retained oracle,
-        :meth:`generate_population_scalar`.
+        per registration in order.  Each account keeps its id, times,
+        detection outcome, profile, activity end and trimmed offers;
+        its per-ad and per-bid columns are empty, counted into its
+        summary and freed.  The output -- accounts, summaries and
+        post-generation RNG stream states -- is bit-identical to the
+        retained oracle, :meth:`generate_population_scalar`.
 
         ``on_day_complete(day)``, if given, is invoked after each day's
         registrations are fully generated -- the checkpoint runner's
@@ -495,6 +467,19 @@ class SimulationEngine:
         return self._generate_population_horizon(
             on_day_complete, materializer=materialize_account
         )
+
+    def build_phase1(
+        self, on_day_complete=None
+    ) -> tuple[list[AccountSummary], list[DetectionRecord], MarketIndex]:
+        """Phases 1 and 2 from the seed: the account summaries, the
+        detection records and the market, which is all Phase 3 and the
+        result read of them and what the runner's snapshots store.
+        :meth:`run`, the checkpoint runner and the doctor's full replay
+        all build them here."""
+        accounts, summaries = self.generate_population(on_day_complete)
+        with obs.span("phase2.market", accounts=len(accounts)):
+            market = MarketIndex(accounts)
+        return summaries, self.pipeline.records, market
 
     # ------------------------------------------------------------------
     # Phase 3: auctions
@@ -808,16 +793,14 @@ class SimulationEngine:
     def run(self) -> SimulationResult:
         """Run all three phases and return the bundled result."""
         with obs.span("run", seed=self.config.seed, days=self.config.days):
-            accounts, summaries = self.generate_population()
-            with obs.span("phase2.market", accounts=len(accounts)):
-                market = MarketIndex(accounts)
+            summaries, records, market = self.build_phase1()
             builder = ImpressionBuilder()
             self.run_auctions(market, builder)
             return SimulationResult(
                 config=self.config,
                 accounts=summaries,
                 impressions=builder.build(),
-                detections=list(self.pipeline.records),
+                detections=list(records),
                 policy_changes=list(self.pipeline.policy.changes),
             )
 

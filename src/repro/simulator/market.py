@@ -147,7 +147,6 @@ class MarketIndex:
                 participation.append(profile.participation_prob)
                 if not account.offers:
                     continue
-                advertiser = account.advertiser
                 ad, campaign, kw, match, bid, quality, created = zip(
                     *account.offers
                 )
@@ -160,11 +159,11 @@ class MarketIndex:
                 max_bids.extend(bid)
                 qualities.extend(quality)
                 adv_rows.extend([row] * n)
-                advertiser_ids.extend([advertiser.advertiser_id] * n)
+                advertiser_ids.extend([account.advertiser_id] * n)
                 ad_ids.extend(ad)
                 active_from.extend(created)
                 active_until.extend([account.activity_end] * n)
-                fraud_labeled.extend([advertiser.labeled_fraud] * n)
+                fraud_labeled.extend([account.labeled_fraud] * n)
 
         with obs.span("market.columns", offers=len(cells)):
             self.n_offers = len(cells)

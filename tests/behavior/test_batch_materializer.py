@@ -26,9 +26,7 @@ from repro.behavior import (
     sample_legitimate_profile,
 )
 from repro.config import small_config
-from repro.entities.advertiser import Advertiser
 from repro.rng import choice_cdf, draw_index, stream
-from repro.taxonomy.geography import country as country_info
 from repro.taxonomy.keywords import (
     evasive_keyword_tables,
     keyword_cdf,
@@ -58,29 +56,18 @@ def _profiles():
 def _materialize(materializer, profile, config, end_time):
     rng = stream(4242, "population")
     ids = IdAllocator()
-    info = country_info(profile.country)
-    advertiser = Advertiser(
-        advertiser_id=1,
-        kind=profile.kind,
-        created_time=CREATED_TIME,
-        country=profile.country,
-        language=info.language,
-        currency=info.currency,
-        activity_scale=profile.activity_scale,
-        quality=profile.quality,
-        evasion_skill=profile.evasion_skill,
-        uses_stolen_payment=profile.uses_stolen_payment,
+    account = MaterializedAccount(
+        advertiser_id=1, profile=profile, created_time=CREATED_TIME
     )
-    account = materializer(
-        advertiser, profile, FIRST_AD_TIME, HORIZON, config, ids, rng
-    )
+    materializer(account, FIRST_AD_TIME, HORIZON, config, ids, rng)
     account.trim(end_time)
     account.activity_end = end_time
     return account, rng.bit_generator.state
 
 
 def _assert_accounts_identical(expected, actual):
-    """Every column, plus the advertiser and profile, compared exactly."""
+    """Every field -- identity, first-ad time, profile, every column --
+    compared exactly."""
     for field in fields(MaterializedAccount):
         name = field.name
         assert getattr(actual, name) == getattr(expected, name), name

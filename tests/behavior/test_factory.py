@@ -5,13 +5,12 @@ import pytest
 
 from repro.behavior.factory import (
     IdAllocator,
+    MaterializedAccount,
     materialize_account,
 )
 from repro.behavior.fraudulent import sample_fraud_profile
 from repro.behavior.legitimate import sample_legitimate_profile
 from repro.config import default_config
-from repro.entities.advertiser import Advertiser
-from repro.taxonomy.geography import country as country_info
 from repro.taxonomy.keywords import keyword_pool
 
 CONFIG = default_config()
@@ -19,22 +18,11 @@ CONFIG = default_config()
 
 def _materialize(profile, first_ad=5.0, horizon=100.0, seed=5):
     rng = np.random.Generator(np.random.PCG64(seed))
-    info = country_info(profile.country)
-    advertiser = Advertiser(
-        advertiser_id=1,
-        kind=profile.kind,
-        created_time=first_ad - 1.0,
-        country=profile.country,
-        language=info.language,
-        currency=info.currency,
-        activity_scale=profile.activity_scale,
-        quality=profile.quality,
-        evasion_skill=profile.evasion_skill,
-        uses_stolen_payment=profile.uses_stolen_payment,
+    account = MaterializedAccount(
+        advertiser_id=1, profile=profile, created_time=first_ad - 1.0
     )
-    return materialize_account(
-        advertiser, profile, first_ad, horizon, CONFIG, IdAllocator(), rng
-    )
+    materialize_account(account, first_ad, horizon, CONFIG, IdAllocator(), rng)
+    return account
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +39,7 @@ class TestMaterialization:
         assert len(legit_account.ad_creation_times) == profile.n_ads
 
     def test_first_ad_recorded(self, legit_account):
-        assert legit_account.advertiser.first_ad_time == 5.0
+        assert legit_account.first_ad_time == 5.0
         assert min(legit_account.ad_creation_times) == 5.0
 
     def test_campaigns_match_verticals(self, legit_account):

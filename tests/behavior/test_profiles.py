@@ -53,6 +53,19 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             self._profile(verticals=("retail", "travel"), target_countries=("US",))
 
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            self._profile(activity_scale=0.0)
+        with pytest.raises(ValueError):
+            self._profile(quality=-1.0)
+        with pytest.raises(ValueError):
+            self._profile(evasion_skill=1.5)
+
+    def test_fraud_flag(self):
+        assert not self._profile().is_fraud
+        assert self._profile(kind=AdvertiserKind.FRAUD_TYPICAL).is_fraud
+        assert self._profile(kind=AdvertiserKind.FRAUD_PROLIFIC).is_fraud
+
     def test_participation_capped(self):
         profile = self._profile(activity_scale=ACTIVITY_NORM * 100)
         assert profile.participation_prob == 1.0

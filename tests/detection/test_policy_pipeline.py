@@ -3,38 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.behavior.factory import IdAllocator, materialize_account
+from repro.behavior.factory import IdAllocator, MaterializedAccount, materialize_account
 from repro.behavior.fraudulent import sample_fraud_profile
 from repro.behavior.legitimate import sample_legitimate_profile
 from repro.config import DetectionConfig, default_config
 from repro.detection.content_filter import content_filter_catch_prob
 from repro.detection.pipeline import DetectionPipeline
 from repro.detection.policy import PolicyEngine
-from repro.entities.advertiser import Advertiser
 from repro.matching.blacklist import Blacklist
-from repro.taxonomy.geography import country as country_info
 
 CONFIG = default_config()
 
 
 def build_account(profile, first_ad=5.0, horizon=200.0, seed=5):
     rng = np.random.Generator(np.random.PCG64(seed))
-    info = country_info(profile.country)
-    advertiser = Advertiser(
-        advertiser_id=1,
-        kind=profile.kind,
-        created_time=first_ad - 1.0,
-        country=profile.country,
-        language=info.language,
-        currency=info.currency,
-        activity_scale=profile.activity_scale,
-        quality=profile.quality,
-        evasion_skill=profile.evasion_skill,
-        uses_stolen_payment=profile.uses_stolen_payment,
+    account = MaterializedAccount(
+        advertiser_id=1, profile=profile, created_time=first_ad - 1.0
     )
-    return materialize_account(
-        advertiser, profile, first_ad, horizon, CONFIG, IdAllocator(), rng
-    )
+    materialize_account(account, first_ad, horizon, CONFIG, IdAllocator(), rng)
+    return account
 
 
 def fraud_profile(seed=1, prolific=False, vertical=None):

@@ -33,6 +33,11 @@ class TestExamples:
         assert (tmp_path / "customers.jsonl").exists()
         assert (tmp_path / "detections.jsonl").exists()
 
+    def test_anomaly_baseline(self):
+        output = run_example("anomaly_baseline.py")
+        assert "Anomaly baseline vs ground truth" in output
+        assert "review budget" in output
+
     @pytest.mark.slow
     def test_policy_intervention(self):
         output = run_example("policy_intervention.py")

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ConfigError, SimulationError
 from repro.records.atomic import sha256_bytes
 from repro.runner import CheckpointRunner, RunManifest
-from repro.runner.runner import MARKET_NAME, PHASE1_NAME, build_phase1, snapshot_bytes
+from repro.runner.runner import MARKET_NAME, PHASE1_NAME, snapshot_bytes
 from repro.simulator.engine import RNG_STREAMS, SimulationEngine
 
 from .conftest import RUNNER_DAYS, assert_results_identical
@@ -64,7 +64,7 @@ class TestFreshRun:
         asks for the next never holds both."""
         runner, _ = completed_run
         vouched = RunManifest.load(runner.manifest_path).artifacts
-        summaries, records, market = build_phase1(SimulationEngine(runner_config))
+        summaries, records, market = SimulationEngine(runner_config).build_phase1()
         dumped = []
 
         def dumps(obj, protocol):

@@ -10,13 +10,14 @@ CLI.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
 from repro.config import small_config
 from repro.obs.__main__ import main as obs_main
-from repro.obs.report import load_events
+from repro.obs.report import last_resources, load_events
 from repro.obs.sink import TELEMETRY_NAME
 from repro.runner.faults import FaultPlan, InjectedCrash
 from repro.runner.runner import CheckpointRunner
@@ -108,6 +109,29 @@ class TestRunnerTelemetry:
         out = capsys.readouterr().out
         assert "runner.fault x1" in out
         assert "runner.resume x1" in out
+
+    def test_end_of_run_assembly_belongs_to_phase3(
+        self, config, tmp_path, monkeypatch
+    ):
+        """The sample ``stop()`` takes after the result table is built
+        lands in ``phase3``, so no peak falls outside every phase.
+
+        The sampler thread's loop is patched out and resident size only
+        grows, so that final sample is the run's one phase sample and
+        its peak."""
+        from repro.obs import resources
+
+        rss_kb = itertools.count(1)
+        monkeypatch.setattr(
+            resources.ResourceSampler, "_sample_loop", lambda self: None
+        )
+        monkeypatch.setattr(resources, "read_rss_kb", lambda: float(next(rss_kb)))
+        CheckpointRunner(config, tmp_path, checkpoint_every=10).run()
+        summary = last_resources(load_events(tmp_path / TELEMETRY_NAME))
+        phases = summary["phases"]
+        assert phases["phase1"]["samples"] == 0
+        assert phases["phase3"]["samples"] == 1
+        assert summary["overall"]["rss_peak_kb"] == phases["phase3"]["rss_peak_kb"]
 
     def test_tail_discard_is_recorded(self, config, tmp_path):
         from repro.runner import IO_TORN, Fault, WriteFault

@@ -61,10 +61,16 @@ class TestResultConsistency(object):
 
     def test_detection_records_match_accounts(self, sim_result):
         by_id = {a.advertiser_id: a for a in sim_result.accounts}
+        recorded = [record.advertiser_id for record in sim_result.detections]
+        # An account is shut down at most once, never before it
+        # registered, and under the label its summary carries.
+        assert len(recorded) == len(set(recorded))
         for record in sim_result.detections:
             account = by_id[record.advertiser_id]
             assert account.shutdown_time == pytest.approx(record.time)
             assert account.shutdown_reason == record.stage
+            assert record.time >= account.created_time
+            assert record.labeled_fraud == account.labeled_fraud
 
     def test_labeled_fraud_has_shutdown(self, sim_result):
         for account in sim_result.fraud_accounts():

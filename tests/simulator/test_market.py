@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.behavior.factory import IdAllocator, materialize_account
+from repro.behavior.factory import IdAllocator, MaterializedAccount, materialize_account
 from repro.behavior.legitimate import sample_legitimate_profile
 from repro.config import default_config
-from repro.entities.advertiser import Advertiser
 from repro.simulator.market import MarketIndex
-from repro.taxonomy.geography import country as country_info
 
 CONFIG = default_config()
 
@@ -19,20 +17,10 @@ def build_accounts(n=6, seed=13, first_ad=2.0, end=50.0):
     accounts = []
     for index in range(n):
         profile = sample_legitimate_profile(CONFIG, rng)
-        info = country_info(profile.country)
-        advertiser = Advertiser(
-            advertiser_id=index + 1,
-            kind=profile.kind,
-            created_time=1.0,
-            country=profile.country,
-            language=info.language,
-            currency=info.currency,
-            activity_scale=profile.activity_scale,
-            quality=profile.quality,
+        account = MaterializedAccount(
+            advertiser_id=index + 1, profile=profile, created_time=1.0
         )
-        account = materialize_account(
-            advertiser, profile, first_ad, 100.0, CONFIG, ids, rng
-        )
+        materialize_account(account, first_ad, 100.0, CONFIG, ids, rng)
         account.trim(end)
         account.activity_end = end
         accounts.append(account)

@@ -8,11 +8,11 @@ state of all five named RNG streams after generation, which any skipped
 or reordered draw would break.
 
 Phase 1 frees each account's per-ad and per-bid columns once it is
-summarized, so the returned accounts hold only the advertiser, profile,
-activity end and offers; the summaries are what carry the columns'
-counts and sums here.  Column-level equivalence of the two
-materializers, every column compared after the same trim, lives in
-``tests/behavior/test_batch_materializer.py``.
+summarized, so the returned accounts hold only their id, times,
+detection outcome, profile, activity end and offers; the summaries are
+what carry the columns' counts and sums here.  Column-level
+equivalence of the two materializers, every column compared after the
+same trim, lives in ``tests/behavior/test_batch_materializer.py``.
 """
 
 import pickle

@@ -7,12 +7,22 @@ import numpy as np
 import pytest
 
 from repro import small_config
-from repro.behavior import MaterializedAccount, materialize_account_batch
+from repro.behavior import MaterializedAccount
 from repro.simulator import SimulationEngine
 
-#: The only fields of an account that outlive Phase 1: what
-#: ``MarketIndex`` reads.
-MARKET_FIELDS = ("advertiser", "profile", "activity_end", "offers")
+#: The only fields of an account that outlive its turn in Phase 1: its
+#: identity and outcome, and what ``MarketIndex`` reads.
+KEPT_FIELDS = (
+    "advertiser_id",
+    "profile",
+    "created_time",
+    "first_ad_time",
+    "shutdown_time",
+    "shutdown_reason",
+    "labeled_fraud",
+    "activity_end",
+    "offers",
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,26 +35,18 @@ def result_with_entities():
 
 @pytest.fixture(scope="module")
 def drawn_columns():
-    """Every materialized account's trimmed columns and its summary.
+    """Every account's trimmed columns beside its summary.
 
     Phase 1 frees an account's columns once ``_finish_account`` has
-    trimmed and summarized it, so the materializer is wrapped to keep a
-    reference to each account it draws; the engine's trim is in place,
-    so each kept account holds exactly the columns its summary counted.
+    trimmed and summarized it.  With that last step patched out, each
+    returned account holds exactly the columns its summary counted.
     """
     config = small_config(seed=55, days=40)
-    drawn: list[MaterializedAccount] = []
-
-    def materialize(*args):
-        account = materialize_account_batch(*args)
-        drawn.append(account)
-        return account
-
-    engine = SimulationEngine(config)
-    _, summaries = engine._generate_population_horizon(materializer=materialize)
-    by_id = {summary.advertiser_id: summary for summary in summaries}
-    pairs = [(by_id[account.advertiser.advertiser_id], account) for account in drawn]
-    assert len(pairs) > 100
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MaterializedAccount, "free_inventory", lambda self: None)
+        accounts, summaries = SimulationEngine(config).generate_population()
+    pairs = list(zip(summaries, accounts))
+    assert sum(bool(account.ad_ids) for account in accounts) > 100
     return SimpleNamespace(config=config, pairs=pairs)
 
 
@@ -98,7 +100,11 @@ class TestPopulationOutput:
             zip(result.columns, result.accounts)
         ):
             assert summary.adv_row == row
-            assert account.advertiser.advertiser_id == summary.advertiser_id
+            assert account.advertiser_id == summary.advertiser_id
+            assert account.created_time == summary.created_time
+            assert account.first_ad_time == summary.first_ad_time
+            assert account.shutdown_time == summary.shutdown_time
+            assert account.labeled_fraud == summary.labeled_fraud
 
     def test_summaries_in_registration_order(self, result_with_entities):
         days = [int(summary.created_time) for summary in result_with_entities.accounts]
@@ -110,7 +116,7 @@ class TestPopulationOutput:
         dropped = [
             field.name
             for field in fields(MaterializedAccount)
-            if field.name not in MARKET_FIELDS
+            if field.name not in KEPT_FIELDS
         ]
         assert "kw_idx_cols" in dropped and "ad_ids" in dropped
         for account, summary in zip(result.columns, result.accounts):
