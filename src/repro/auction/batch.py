@@ -146,9 +146,6 @@ def run_auction_batch(
         )
     _KERNEL_CANDIDATES.inc(len(segment))
     _KERNEL_SHOWN.inc(len(result))
-    ledger = obs.dayledger()
-    if ledger is not None:
-        ledger.record_kernel(len(segment), len(result))
     return result
 
 

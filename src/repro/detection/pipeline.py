@@ -161,12 +161,9 @@ class DetectionPipeline:
         """Record an enforcement action and grow the domain blacklist."""
         if outcome.shutdown_time is None or outcome.reason is None:
             return
-        # Per-stage shutdown telemetry; counter/ledger bumps only -- the
+        # Per-stage shutdown telemetry; a counter bump only -- the
         # pipeline's RNG draws happened before commit() is reached.
         obs.counter(f"detection.shutdowns.{outcome.reason.value}").inc()
-        ledger = obs.dayledger()
-        if ledger is not None:
-            ledger.record_shutdown(outcome.shutdown_time, outcome.reason.value)
         self.records.append(
             DetectionRecord.make(
                 advertiser_id,

@@ -13,6 +13,9 @@ events and counters:
   in-memory sink for tests and benches, and a crash-safe JSONL file
   sink the checkpoint runner writes into its run directory (CLI
   diagnostics go to stderr through :mod:`~repro.obs.logsetup`);
+* **the day ledger** (:mod:`~repro.obs.timeseries`) -- per-day
+  marketplace-health rows; not a process-global, but an object the
+  runner fills from Phase 1's outputs and passes to the auction loop;
 * **reporting** -- ``python -m repro.obs report <run-dir>`` renders
   ``telemetry.jsonl`` into a phase-tree timing table and counter
   summary (:mod:`~repro.obs.report`);
@@ -62,7 +65,6 @@ __all__ = [
     "add_sink",
     "capture",
     "counter",
-    "dayledger",
     "event",
     "get_logger",
     "load_progress",
@@ -70,7 +72,6 @@ __all__ = [
     "publish_metrics",
     "publish_resources",
     "remove_sink",
-    "set_dayledger",
     "setup_logging",
     "span",
     "tracer",
@@ -82,31 +83,6 @@ HEARTBEAT_EVERY = 25
 
 _TRACER = Tracer()
 _METRICS = MetricsRegistry()
-_DAYLEDGER: DayLedger | None = None
-
-
-def dayledger() -> DayLedger | None:
-    """The attached day ledger, or ``None`` when none is collecting.
-
-    Instrumented call sites fetch this once per day (never per row) and
-    skip all ledger work when it returns ``None`` -- an unledgered run
-    pays one attribute read per day.
-    """
-    return _DAYLEDGER
-
-
-def set_dayledger(ledger: DayLedger | None) -> DayLedger | None:
-    """Attach (or with ``None`` detach) the process-global day ledger.
-
-    Returns the previously attached ledger so callers can restore it --
-    the checkpoint runner attaches its run's ledger for the duration of
-    :meth:`~repro.runner.runner.CheckpointRunner.run` and restores the
-    prior value on exit.
-    """
-    global _DAYLEDGER
-    previous = _DAYLEDGER
-    _DAYLEDGER = ledger
-    return previous
 
 
 def tracer() -> Tracer:

@@ -2,12 +2,13 @@
 
 The paper's core results are *time dynamics* -- fraud share, shutdown
 rates, spend regimes around the Year-2 policy change (Figures 1-6).
-:class:`DayLedger` collects those same marketplace-health signals as
-one row per simulated day, fed by the engine (registrations, per-day
-auction aggregates), the detection pipeline (per-stage shutdowns,
-bucketed by shutdown day), and the batched auction kernel (candidate /
-shown counts), and persists them as ``dayledger.jsonl`` in the
-checkpoint-runner run directory.
+:class:`DayLedger` holds those same marketplace-health signals as one
+row per simulated day, persisted as ``dayledger.jsonl`` in the
+checkpoint-runner run directory.  Two writers fill it, each owning its
+half of every row: :meth:`DayLedger.record_phase1` computes the Phase-1
+half (registrations, shutdowns, policy days) from Phase 1's outputs,
+and :meth:`~repro.simulator.engine.SimulationEngine.run_auctions`
+records each Phase-3 day's market half (:meth:`DayLedger.record_day`).
 
 Like every other piece of :mod:`repro.obs`, the ledger is a **pure
 observer**: it never draws randomness, never reads a clock, and only
@@ -17,16 +18,15 @@ test_dayledger.py``) and the collection overhead stays under the same
 3% budget as the JSONL telemetry sink
 (``benchmarks/test_ledger_overhead.py``).
 
-Crash-safety and resume mirror the telemetry sink: the runner flushes
-the ledger with the atomic whole-file rewrite protocol
-(:mod:`repro.records.atomic`) exactly when the manifest becomes
-durable, and a resumed run preloads the durable prefix -- Phase-1
-fields always (the Phase-1 snapshot is durable), per-day market fields
-only for days before the resume point (later days are re-simulated and
-re-accumulated).  Because re-simulated days replay the same draws on
-the same arrays in the same order, the final ``dayledger.jsonl`` of an
-interrupted-and-resumed run is **byte-identical** to an uninterrupted
-run's (``tests/runner/test_dayledger_resume.py``).
+Crash-safety and resume: the runner flushes the ledger with the atomic
+whole-file rewrite protocol (:mod:`repro.records.atomic`) just before
+each manifest save.  A resumed run recomputes the Phase-1 half from the
+Phase-1 snapshot and reloads only the market rows of days before the
+resume point (:meth:`DayLedger.preload`), re-simulating the rest with
+the same draws on the same arrays in the same order, so its final
+``dayledger.jsonl`` is **byte-identical** to an uninterrupted run's
+(``tests/runner/test_dayledger_resume.py``) -- or, when the durable
+file lacks one of those rows, the run carries on without a ledger.
 
 Row schema (JSON object per line, keys sorted; floats as Python repr):
 
@@ -35,8 +35,8 @@ Row schema (JSON object per line, keys sorted; floats as Python repr):
 ``registrations_legit`` / ``registrations_fraud``
     Accounts registered that day, split by ground truth (Fig 1).
 ``shutdowns``
-    ``{stage: count}`` of enforcement actions whose shutdown time
-    lands on this day (Fig 5/6 dynamics; stages are
+    ``{stage: count}`` of detection records whose shutdown time lands
+    on this day (Fig 5/6 dynamics; stages are
     :class:`~repro.entities.enums.ShutdownReason` values).
 ``policy_change``
     ``true`` on days a policy change takes effect (omitted otherwise);
@@ -52,7 +52,8 @@ Row schema (JSON object per line, keys sorted; floats as Python repr):
     Impression rows emitted, auctions that showed at least one ad, and
     mainline placements filled.
 ``kernel_candidates`` / ``kernel_shown``
-    Batched-kernel feed: candidates ranked and ads shown that day.
+    Candidates the batched auction kernel ranked, and ads it showed,
+    that day.
 ``fraud_click_share`` / ``fraud_spend_share`` / ``mean_cpc`` /
 ``mainline_depth``
     Derived at serialization time from the sums above (Figures 3/6 and
@@ -62,7 +63,14 @@ Row schema (JSON object per line, keys sorted; floats as Python repr):
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from ..detection.policy import PolicyChange
+    from ..records.schemas import DetectionRecord
+    from ..simulator.results import AccountSummary
 
 __all__ = [
     "ANALYZE_NAME",
@@ -97,7 +105,7 @@ POLICY_KEY_SERIES = (
     "spend",
 )
 
-#: Integer accumulators fed during Phase 3 (market/auction sourced).
+#: Integer market fields of a Phase-3 day.
 _MARKET_INT_FIELDS = (
     "rows",
     "auctions",
@@ -107,7 +115,7 @@ _MARKET_INT_FIELDS = (
     "kernel_shown",
 )
 
-#: Float accumulators fed during Phase 3.
+#: Float market fields of a Phase-3 day.
 _MARKET_FLOAT_FIELDS = (
     "impressions",
     "clicks",
@@ -116,14 +124,15 @@ _MARKET_FLOAT_FIELDS = (
     "fraud_spend",
 )
 
+_MARKET_FIELDS = (*_MARKET_INT_FIELDS, *_MARKET_FLOAT_FIELDS)
+
 #: Every per-day numeric series a ledger row exposes (diffable set).
 #: ``shutdowns`` is a nested ``{stage: count}`` map and is flattened to
 #: ``shutdowns.<stage>`` series by :func:`rows_to_series`.
 LEDGER_SERIES: tuple[str, ...] = (
     "registrations_legit",
     "registrations_fraud",
-    *_MARKET_INT_FIELDS,
-    *_MARKET_FLOAT_FIELDS,
+    *_MARKET_FIELDS,
     "fraud_click_share",
     "fraud_spend_share",
     "mean_cpc",
@@ -131,121 +140,70 @@ LEDGER_SERIES: tuple[str, ...] = (
 )
 
 
-def _zero_market_row() -> dict:
-    row: dict = {name: 0 for name in _MARKET_INT_FIELDS}
-    row.update({name: 0.0 for name in _MARKET_FLOAT_FIELDS})
-    return row
-
-
 class DayLedger:
-    """Per-day marketplace-health accumulator for one run.
+    """Per-day marketplace-health rows for a run of ``days`` days.
 
-    Attach the run's ledger with :func:`repro.obs.set_dayledger` (the
-    checkpoint runner does this automatically); instrumented call
-    sites fetch it via :func:`repro.obs.dayledger` and skip all work
-    when none is attached.
+    :meth:`record_phase1` sets the Phase-1 half of every row and
+    :meth:`record_day` one day's market half; a day whose market half
+    was never recorded serializes without market fields.
     """
 
-    def __init__(self, days: int | None = None) -> None:
-        #: Total simulated days, when known -- used to clamp shutdown
-        #: buckets and to emit a row for every day at serialization.
+    def __init__(self, days: int) -> None:
+        #: Simulated days; :meth:`rows` emits one row for each.
         self.days = days
-        self._phase1: dict[int, dict] = {}
-        self._shutdowns: dict[int, dict[str, int]] = {}
-        self._policy_days: set[int] = set()
+        self._registrations: Counter[tuple[int, bool]] = Counter()
+        self._shutdowns: dict[int, Counter[str]] = {}
+        self._policy_days: frozenset[int] = frozenset()
         self._market: dict[int, dict] = {}
-        self._current: dict | None = None
 
-    # -- Phase-1 feeds (engine day loop, detection pipeline) -----------
-
-    def record_registrations(self, day: int, legit: int, fraud: int) -> None:
-        """One Phase-1 day's registrations, split legit/fraud."""
-        self._phase1[int(day)] = {
-            "registrations_legit": int(legit),
-            "registrations_fraud": int(fraud),
-        }
-
-    def record_shutdown(self, time: float, stage: str) -> None:
-        """One enforcement action, bucketed by its shutdown day."""
-        day = int(time)
-        if self.days is not None:
-            day = min(day, self.days - 1)
-        bucket = self._shutdowns.setdefault(day, {})
-        bucket[stage] = bucket.get(stage, 0) + 1
-
-    def record_policy_change(self, day: float) -> None:
-        """Mark the day a policy change takes effect."""
-        self._policy_days.add(int(day))
-
-    # -- Phase-3 feeds (engine auction loop, batched kernel) -----------
-
-    def begin_day(self, day: int) -> None:
-        """Open (and zero) the market row for one Phase-3 day.
-
-        Called once per simulated day *before* any market feed, so days
-        with no live offers or no shown ads still serialize as explicit
-        zero rows.  Subsequent kernel feeds accumulate into this day.
-        """
-        row = _zero_market_row()
-        self._market[int(day)] = row
-        self._current = row
-
-    def record_kernel(self, candidates: int, shown: int) -> None:
-        """Batched-kernel feed for the currently open day (no-op when
-        no day is open -- the kernel also runs in kernel-only tests)."""
-        row = self._current
-        if row is None:
-            return
-        row["kernel_candidates"] += int(candidates)
-        row["kernel_shown"] += int(shown)
-
-    def record_active_accounts(self, day: int, count: int) -> None:
-        """Distinct accounts with live offers on one day."""
-        self._market[int(day)]["active_accounts"] = int(count)
-
-    def record_auction_day(
+    def record_phase1(
         self,
-        day: int,
-        *,
-        impressions: float,
-        clicks: float,
-        fraud_clicks: float,
-        spend: float,
-        fraud_spend: float,
-        rows: int,
-        auctions: int,
-        mainline_slots: int,
+        summaries: Iterable[AccountSummary],
+        records: Iterable[DetectionRecord],
+        policy_changes: Iterable[PolicyChange],
     ) -> None:
-        """One day's auction aggregates (engine feed, once per day)."""
-        row = self._market[int(day)]
-        row["impressions"] += float(impressions)
-        row["clicks"] += float(clicks)
-        row["fraud_clicks"] += float(fraud_clicks)
-        row["spend"] += float(spend)
-        row["fraud_spend"] += float(fraud_spend)
-        row["rows"] += int(rows)
-        row["auctions"] += int(auctions)
-        row["mainline_slots"] += int(mainline_slots)
+        """Set the Phase-1 half of every row from Phase 1's outputs:
+        registrations per ``int(created_time)`` by ground truth,
+        shutdowns per ``int(time)`` of each detection record by stage,
+        and the days policy changes take effect inside the study."""
+        self._registrations = Counter(
+            (int(summary.created_time), summary.kind.is_fraud)
+            for summary in summaries
+        )
+        shutdowns: dict[int, Counter[str]] = {}
+        for record in records:
+            shutdowns.setdefault(int(record.time), Counter())[record.stage] += 1
+        self._shutdowns = shutdowns
+        self._policy_days = frozenset(
+            int(change.day)
+            for change in policy_changes
+            if 0 <= change.day < self.days
+        )
+
+    def record_day(self, day: int, **fields: float) -> None:
+        """Set one Phase-3 day's market sums (named as in
+        :data:`LEDGER_SERIES`); one not given reads 0, an unknown one
+        raises ``TypeError``."""
+        row = {name: int(fields.pop(name, 0)) for name in _MARKET_INT_FIELDS}
+        row.update(
+            (name, float(fields.pop(name, 0.0))) for name in _MARKET_FLOAT_FIELDS
+        )
+        if fields:
+            raise TypeError(f"unknown day-ledger fields: {sorted(fields)}")
+        self._market[int(day)] = row
 
     # -- serialization -------------------------------------------------
-
-    def _day_range(self) -> range:
-        if self.days is not None:
-            return range(self.days)
-        seen = (*self._phase1, *self._shutdowns, *self._market)
-        return range(max(seen) + 1 if seen else 0)
 
     def rows(self) -> list[dict]:
         """One merged dict per day, derived fields included, day order."""
         merged: list[dict] = []
-        for day in self._day_range():
-            row: dict = {"day": day}
-            row.update(
-                self._phase1.get(
-                    day, {"registrations_legit": 0, "registrations_fraud": 0}
-                )
-            )
-            row["shutdowns"] = dict(sorted(self._shutdowns.get(day, {}).items()))
+        for day in range(self.days):
+            row: dict = {
+                "day": day,
+                "registrations_legit": self._registrations[day, False],
+                "registrations_fraud": self._registrations[day, True],
+                "shutdowns": dict(sorted(self._shutdowns.get(day, {}).items())),
+            }
             if day in self._policy_days:
                 row["policy_change"] = True
             market = self._market.get(day)
@@ -293,40 +251,22 @@ class DayLedger:
     # -- resume --------------------------------------------------------
 
     def preload(self, path: str | Path, market_before: int) -> None:
-        """Reload the durable prefix of an interrupted run's ledger.
-
-        Phase-1 fields (registrations, shutdown buckets, policy days)
-        are durable with the Phase-1 snapshot and reload for every day;
-        market fields reload only for ``day < market_before`` -- later
-        days were never checkpointed (or sat in a discarded tail chunk)
-        and will be re-accumulated by the resumed day loop.  A missing
-        file is not an error: the ledger simply re-covers what the
-        resumed process simulates (pre-ledger run dirs stay resumable).
-        """
-        path = Path(path)
-        if not path.exists():
-            return
-        for row in load_rows(path):
-            day = int(row["day"])
-            self._phase1[day] = {
-                "registrations_legit": int(row.get("registrations_legit", 0)),
-                "registrations_fraud": int(row.get("registrations_fraud", 0)),
-            }
-            shutdowns = row.get("shutdowns") or {}
-            if shutdowns:
-                self._shutdowns[day] = {
-                    str(stage): int(n) for stage, n in shutdowns.items()
-                }
-            if row.get("policy_change"):
-                self._policy_days.add(day)
-            if day < market_before and "rows" in row:
-                market = _zero_market_row()
-                for name in _MARKET_INT_FIELDS:
-                    market[name] = int(row.get(name, 0))
-                for name in _MARKET_FLOAT_FIELDS:
-                    market[name] = float(row.get(name, 0.0))
-                self._market[day] = market
-        self._current = None
+        """Reload the market rows of days ``< market_before`` from an
+        interrupted run's durable ledger; later days are re-simulated
+        and the Phase-1 half comes from :meth:`record_phase1`.  Raises
+        ``OSError`` or ``ValueError`` when the file is unreadable or
+        malformed or lacks one of those rows: a stale or partial ledger
+        that must not be vouched for."""
+        try:
+            market = {row["day"]: row for row in load_rows(path) if "rows" in row}
+            for day in range(market_before):
+                fields = {name: market[day][name] for name in _MARKET_FIELDS}
+                self.record_day(day, **fields)
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(
+                f"{path}: no whole market row for every day before "
+                f"{market_before} ({exc!r})"
+            ) from exc
 
 
 def load_rows(path: str | Path) -> list[dict]:

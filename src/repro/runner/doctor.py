@@ -23,8 +23,9 @@ hash to what the manifest promised.  Two repair strategies:
   Phases 1 and 2 are re-run from the seed through
   :meth:`~repro.simulator.engine.SimulationEngine.build_phase1`, the
   sequence the runner and the engine's own ``run`` use, and the
-  damaged snapshots rewritten; then every chunk goes through the chunk
-  replay above (the ledger needs every day), rewriting only the
+  damaged snapshots rewritten; a fresh ledger takes its Phase-1 half
+  from those outputs, then every chunk goes through the chunk replay
+  above with that ledger (which needs every day), rewriting only the
   damaged ones; then the ledger is rewritten if it is damaged.
   Each regenerated byte string is verified against the manifest
   before it is written, and the RNG streams are checked after Phase 1
@@ -146,27 +147,18 @@ def verify_run(run_dir: str | Path) -> VerifyReport:
     manifest = RunManifest.load(run_dir / MANIFEST_NAME)
     report = VerifyReport(run_dir=run_dir, phase=manifest.phase)
 
-    def check(relative: str, recorded: str, fatal: bool = True) -> None:
+    def check(relative: str, recorded: str) -> None:
         path = run_dir / relative
         if not path.exists():
             report.issues.append(
-                Issue("missing", relative, "vouched file is missing", fatal)
+                Issue("missing", relative, "vouched file is missing")
             )
         elif sha256_file(path) != recorded:
-            report.issues.append(
-                Issue("checksum", relative, "does not match manifest", fatal)
-            )
-        else:
-            report.checked += 1
-
-    for relative, recorded in sorted(manifest.artifacts.items()):
-        if relative == DAYLEDGER_NAME and manifest.phase != "complete":
-            # Crash window: the ledger is flushed *before* the manifest,
-            # so on an incomplete run the durable ledger may legitimately
-            # be newer than the manifest that vouched it.  Resume trims
-            # it back; only a completed run pins it exactly.
-            path = run_dir / relative
-            if path.exists() and sha256_file(path) != recorded:
+            if relative == DAYLEDGER_NAME and manifest.phase != "complete":
+                # Crash window: the ledger is flushed *before* the
+                # manifest, so on an incomplete run it may legitimately
+                # be newer than the manifest that vouched it.  Only a
+                # completed run pins it exactly.
                 report.issues.append(
                     Issue(
                         "note",
@@ -177,8 +169,13 @@ def verify_run(run_dir: str | Path) -> VerifyReport:
                     )
                 )
             else:
-                report.checked += 1
-            continue
+                report.issues.append(
+                    Issue("checksum", relative, "does not match manifest")
+                )
+        else:
+            report.checked += 1
+
+    for relative, recorded in sorted(manifest.artifacts.items()):
         check(relative, recorded)
 
     for entry in manifest.chunks:
@@ -286,9 +283,11 @@ def _replay_chunks(
     damaged: set[str],
     run_dir: Path,
     report: RepairReport,
+    ledger: DayLedger | None = None,
 ) -> None:
     """Re-simulate the given chunks' day ranges, each from its
-    predecessor's recorded RNG states, and rewrite the damaged ones."""
+    predecessor's recorded RNG states, and rewrite the damaged ones;
+    ``ledger``, if given, records every replayed day."""
     for index in indices:
         entry = manifest.chunks[index]
         if index == 0:
@@ -313,6 +312,7 @@ def _replay_chunks(
             builder,
             start_day=entry.day_start,
             end_day=entry.day_end,
+            ledger=ledger,
         )
         if engine.rng_state() != entry.rng_after:
             raise SimulationError(
@@ -343,30 +343,28 @@ def _full_replay(
     because the day ledger needs every day), then the ledger."""
     obs.event("doctor.replay", file="*", day_start=0, day_end=manifest.days)
     engine = SimulationEngine(config)
-    ledger = DayLedger(days=config.days)
-    prior_ledger = obs.set_dayledger(ledger)
-    try:
-        summaries, records, market = engine.build_phase1()
-        if engine.rng_state() != manifest.phase3_start_rng:
-            raise SimulationError(
-                "RNG streams after Phase 1 do not match the manifest; "
-                "the run is not reproducible -- refusing to repair"
-            )
-        for name, blob in snapshot_bytes(summaries, records, market):
-            if name in damaged:
-                _rewrite(run_dir, name, blob, manifest.artifacts[name], report)
-            del blob  # freed before the next snapshot is pickled
-        _replay_chunks(
-            engine,
-            market,
-            manifest,
-            range(len(manifest.chunks)),
-            damaged,
-            run_dir,
-            report,
+    summaries, records, market = engine.build_phase1()
+    if engine.rng_state() != manifest.phase3_start_rng:
+        raise SimulationError(
+            "RNG streams after Phase 1 do not match the manifest; "
+            "the run is not reproducible -- refusing to repair"
         )
-    finally:
-        obs.set_dayledger(prior_ledger)
+    ledger = DayLedger(config.days)
+    ledger.record_phase1(summaries, records, engine.pipeline.policy.changes)
+    for name, blob in snapshot_bytes(summaries, records, market):
+        if name in damaged:
+            _rewrite(run_dir, name, blob, manifest.artifacts[name], report)
+        del blob  # freed before the next snapshot is pickled
+    _replay_chunks(
+        engine,
+        market,
+        manifest,
+        range(len(manifest.chunks)),
+        damaged,
+        run_dir,
+        report,
+        ledger,
+    )
     if DAYLEDGER_NAME in damaged:
         _rewrite(
             run_dir,

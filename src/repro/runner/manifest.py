@@ -110,8 +110,8 @@ class RunManifest:
     format: str = MANIFEST_FORMAT
     package_version: str = __version__
     #: Artifact file name -> hex SHA-256: the phase1/market
-    #: snapshots plus the day ledger at its last durable flush -- every
-    #: non-chunk artifact the doctor can vouch for.
+    #: snapshots plus the day ledger while its last flush landed --
+    #: every non-chunk artifact the doctor can vouch for.
     artifacts: dict[str, str] = field(default_factory=dict)
     #: RNG states at the start of Phase 3 (right after the market
     #: snapshot became durable); the resume point when no chunk exists.

@@ -6,6 +6,7 @@ Run directory layout::
       MANIFEST.json             config hash, checksums, chunk index, RNG states
       phase1.pkl                account summaries + detection records
       market.pkl                the Phase-2 MarketIndex snapshot
+      dayledger.jsonl           one marketplace-health row per day (repro.obs)
       chunks/
         chunk-00000-00007.npc   impression rows for days [0, 7), append-only
         chunk-00007-00014.npc   ...
@@ -31,7 +32,9 @@ resume path is written for:
 * manifest in phase ``phase3`` -- population + market snapshots are
   verified by checksum and reloaded, durable chunks are verified and
   reloaded, the five RNG streams are restored from the last chunk's
-  recorded state, and the day loop continues at ``next_day``;
+  recorded state, and the day loop continues at ``next_day``; the day
+  ledger gets its Phase-1 half from the snapshot and its earlier market
+  rows from ``dayledger.jsonl``, or is dropped if the file lacks one;
 * a chunk file that exists but is not in the manifest is a partial
   write from the crash -- deleted and re-simulated;
 * the *tail* manifest chunk whose file is missing or fails its
@@ -61,6 +64,7 @@ from pathlib import Path
 
 from .. import obs
 from ..config import SimulationConfig
+from ..detection.policy import PolicyChange
 from ..errors import ConfigError, SimulationError
 from ..obs.progress import ProgressSink
 from ..obs.resources import ResourceSampler
@@ -175,11 +179,13 @@ class CheckpointRunner:
         checkpoint so watchers see live state), a background
         :class:`~repro.obs.resources.ResourceSampler` (the RSS/CPU/GC
         envelope per phase) and the :class:`~repro.obs.timeseries.DayLedger`
-        (``dayledger.jsonl``).  Telemetry and ledger are flushed
-        atomically only at durable checkpoints, so neither describes
-        more than the manifest guarantees: a crash loses only what was
-        buffered since, exactly as it loses the impression rows since
-        then, and resume continues the same files.
+        (``dayledger.jsonl``), whose Phase-1 half the runner computes
+        and whose market rows the engine records.  Telemetry and ledger
+        are flushed atomically only at durable checkpoints, so neither
+        describes more than the manifest guarantees: a crash loses only
+        what was buffered since, exactly as it loses the impression rows
+        since then, and resume continues the same files (or drops a
+        ledger it cannot complete, :meth:`_resume_ledger`).
         """
         has_manifest = self.manifest_path.exists()
         if resume is True and not has_manifest:
@@ -210,8 +216,7 @@ class CheckpointRunner:
         obs.add_sink(self._progress)
         self._sampler = ResourceSampler()
         self._sampler.start()
-        self._ledger = DayLedger(days=self.config.days)
-        prior_ledger = obs.set_dayledger(self._ledger)
+        self._ledger = DayLedger(self.config.days)
         completed = False
         try:
             result = self._run(manifest)
@@ -238,7 +243,6 @@ class CheckpointRunner:
                 self._progress.mark("interrupted")
             obs.remove_sink(self._progress)
             obs.remove_sink(self._sink)
-            obs.set_dayledger(prior_ledger)
             if shim is not None:
                 set_io_shim(prior_shim)
 
@@ -246,40 +250,70 @@ class CheckpointRunner:
     # Graceful degradation of auxiliary sinks
     # ------------------------------------------------------------------
 
-    def _degrade(self, artifact: str, exc: OSError) -> None:
-        """Record a persistent auxiliary-write failure and carry on.
+    def _degrade(self, artifact: str, exc: Exception) -> None:
+        """Record a lost auxiliary artifact and carry on.
 
         Telemetry and the day ledger are conveniences layered on top of
         the simulation: losing them must never lose the run.  Each
-        failure bumps ``io.degraded`` and emits an ``io.degraded``
-        event; the first failure per artifact also logs a warning.
+        loss bumps ``io.degraded`` and emits an ``io.degraded`` event;
+        the first one per artifact also logs a warning.
         """
         _IO_DEGRADED.inc()
         obs.event("io.degraded", artifact=artifact, error=str(exc))
         if artifact not in self._degraded:
             self._degraded.add(artifact)
             _log.warning(
-                "auxiliary write of %s failed (%s); the simulation "
+                "auxiliary artifact %s degraded (%s); the simulation "
                 "continues without it",
                 artifact,
                 exc,
             )
 
+    def _drop_ledger(self, manifest: RunManifest, exc: Exception) -> None:
+        """Degrade the ledger: stop vouching it and remove the stale
+        file, best effort, so no reader takes it for this run's."""
+        self._degrade(DAYLEDGER_NAME, exc)
+        manifest.artifacts.pop(DAYLEDGER_NAME, None)
+        try:
+            self.ledger_path.unlink(missing_ok=True)
+        except OSError:
+            pass
+
     def _flush_ledger(self, manifest: RunManifest) -> None:
         """Flush the day ledger and vouch its checksum in the manifest.
 
-        Called *before* ``manifest.save`` at every durable point, so
-        the durable ledger is never older than the manifest.  A
-        persistent write failure degrades: the manifest keeps vouching
-        the last ledger content that actually landed (atomic writes
-        leave old-or-new, never a hybrid).
+        Called *before* ``manifest.save`` at every durable point, so a
+        vouched ledger is never older than the manifest.  A failed
+        flush degrades (:meth:`_drop_ledger`); the in-memory ledger is
+        still whole, so a later flush that lands vouches it again.
         """
+        if self._ledger is None:
+            return
         try:
             text = self._ledger.flush(self.ledger_path)
         except OSError as exc:
-            self._degrade(DAYLEDGER_NAME, exc)
+            self._drop_ledger(manifest, exc)
             return
         manifest.artifacts[DAYLEDGER_NAME] = sha256_bytes(text.encode("utf-8"))
+
+    def _resume_ledger(
+        self,
+        manifest: RunManifest,
+        summaries: list[AccountSummary],
+        records: list[DetectionRecord],
+        policy_changes: list[PolicyChange],
+    ) -> None:
+        """Rebuild the ledger of a run resumed in Phase 3: the Phase-1
+        half from the snapshot, the market rows of days before
+        ``next_day`` from the durable file.  A file lacking any of them
+        (missing, malformed or stale) drops the ledger for the rest of
+        the run rather than vouch one with holes."""
+        self._ledger.record_phase1(summaries, records, policy_changes)
+        try:
+            self._ledger.preload(self.ledger_path, manifest.next_day)
+        except (OSError, ValueError) as exc:
+            self._ledger = None
+            self._drop_ledger(manifest, exc)
 
     def _flush_telemetry(self) -> None:
         """Flush the telemetry sink, degrading on persistent failure."""
@@ -297,6 +331,7 @@ class CheckpointRunner:
         """
         engine = SimulationEngine(self.config)
         resuming = manifest is not None
+        policy_changes = engine.pipeline.policy.changes
         with obs.span("runner.run", resuming=resuming, days=self.config.days):
             if manifest is not None:
                 manifest.checkpoint_every = self.checkpoint_every
@@ -316,20 +351,20 @@ class CheckpointRunner:
                     checkpoint_every=self.checkpoint_every,
                 )
 
-            if manifest.phase == "phase1":
+            from_snapshot = manifest.phase != "phase1"
+            if from_snapshot:
+                summaries, records, market = self._load_phase1(manifest)
+            else:
                 self._sampler.set_phase("phase1")
                 summaries, records, market = self._run_phase1(engine, manifest)
-            else:
-                summaries, records, market = self._load_phase1(manifest)
 
             chunks = self._validate_chunks(manifest)
             if manifest.phase != "complete":
-                if resuming:
-                    # Reload the durable ledger prefix *after* chunk
-                    # validation so a discarded tail's days (reflected
-                    # in ``next_day``) are dropped and re-accumulated.
-                    self._ledger.preload(
-                        self.ledger_path, market_before=manifest.next_day
+                if from_snapshot:
+                    # After chunk validation, so that a discarded tail's
+                    # days (reflected in ``next_day``) are re-simulated.
+                    self._resume_ledger(
+                        manifest, summaries, records, policy_changes
                     )
                 states = manifest.resume_rng()
                 if states is None:
@@ -353,7 +388,7 @@ class CheckpointRunner:
                 accounts=summaries,
                 impressions=builder.build(),
                 detections=list(records),
-                policy_changes=list(engine.pipeline.policy.changes),
+                policy_changes=list(policy_changes),
             )
 
     # ------------------------------------------------------------------
@@ -386,6 +421,9 @@ class CheckpointRunner:
             self._faults.fire("phase1:day", day=day)
 
         summaries, records, market = engine.build_phase1(on_day_complete=on_day)
+        self._ledger.record_phase1(
+            summaries, records, engine.pipeline.policy.changes
+        )
         manifest.artifacts = {}
         for name, blob in snapshot_bytes(summaries, records, market):
             atomic_write_bytes(self.run_dir / name, blob)
@@ -394,8 +432,8 @@ class CheckpointRunner:
         manifest.phase3_start_rng = engine.rng_state()
         manifest.phase = "phase3"
         # Ledger before manifest: a crash between the two leaves a
-        # ledger that is *newer* than the manifest, and preload only
-        # trusts what the manifest vouches for.
+        # ledger that is *newer* than the manifest, and resume reloads
+        # only the days the manifest's chunks vouch for.
         self._flush_ledger(manifest)
         manifest.save(self.manifest_path)
         self._faults.fire("phase1:end")
@@ -496,7 +534,11 @@ class CheckpointRunner:
                 self._faults.fire("phase3:checkpoint", day=day)
 
         engine.run_auctions(
-            market, builder, start_day=start_day, on_day_complete=on_day
+            market,
+            builder,
+            start_day=start_day,
+            on_day_complete=on_day,
+            ledger=self._ledger,
         )
         return collected
 
@@ -521,8 +563,8 @@ class CheckpointRunner:
                 rng_after=engine.rng_state(),
             )
         )
-        # Same ordering as the Phase-1 flush: ledger first, so the
-        # durable ledger is never older than the manifest.
+        # Same ordering as the Phase-1 flush: ledger first, so a
+        # vouched ledger is never older than the manifest.
         self._flush_ledger(manifest)
         manifest.save(self.manifest_path)
         _CHUNKS_WRITTEN.inc()

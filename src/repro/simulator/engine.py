@@ -311,7 +311,7 @@ class SimulationEngine:
         account.free_inventory()
         return summary
 
-    def _draw_day_registrations(self, day, rng, schedule, ledger):
+    def _draw_day_registrations(self, day, rng, schedule):
         """Yield one day's ``(profile, created_time)`` pairs lazily.
 
         A generator on purpose: the caller interleaves its own draws
@@ -324,8 +324,6 @@ class SimulationEngine:
         n_fraud, n_nonfraud = sample_daily_counts(
             config.population, schedule, day, rng
         )
-        if ledger is not None:
-            ledger.record_registrations(day, n_nonfraud, n_fraud)
         for is_fraud in [True] * n_fraud + [False] * n_nonfraud:
             created_time = day + float(rng.random())
             if is_fraud:
@@ -344,12 +342,6 @@ class SimulationEngine:
                 profile = sample_legitimate_profile(config, rng)
             yield profile, created_time
 
-    def _record_policy_changes(self, ledger) -> None:
-        if ledger is not None:
-            for change in self.pipeline.policy.changes:
-                if 0 <= change.day < self.config.days:
-                    ledger.record_policy_change(change.day)
-
     def _generate_population_horizon(
         self,
         on_day_complete=None,
@@ -365,10 +357,10 @@ class SimulationEngine:
         times, detection outcome, profile, activity end and trimmed
         offers, outlive the account's turn; its per-ad and per-bid
         columns are freed there, so memory does not grow with every
-        bid of the horizon.  Day-boundary side-effects (ledger rows,
-        heartbeats, ``on_day_complete``) fire after each day's
-        accounts, so the checkpoint runner's fault sites and progress
-        reporting see whole days.
+        bid of the horizon.  Day-boundary side-effects (heartbeats,
+        ``on_day_complete``) fire after each day's accounts, so the
+        checkpoint runner's fault sites and progress reporting see
+        whole days.
 
         ``materializer`` replaces :meth:`_plan_account`'s default
         batched materializer; the scalar oracle passes
@@ -388,8 +380,6 @@ class SimulationEngine:
         # that scale with the live-object count.  Pause it for the pass.
         gc_was_enabled = gc.isenabled()
         gc.disable()
-        ledger = obs.dayledger()
-        self._record_policy_changes(ledger)
         try:
             with obs.span(
                 "phase1.population", days=config.days, materializer=mode
@@ -397,7 +387,7 @@ class SimulationEngine:
                 with obs.span("phase1.draws", days=config.days):
                     for day in range(config.days):
                         for profile, created_time in self._draw_day_registrations(
-                            day, rng, schedule, ledger
+                            day, rng, schedule
                         ):
                             account = (
                                 self._plan_account(profile, created_time)
@@ -492,6 +482,7 @@ class SimulationEngine:
         start_day: int = 0,
         end_day: int | None = None,
         on_day_complete=None,
+        ledger: obs.DayLedger | None = None,
     ) -> None:
         """Phase 3: the daily auction loop, array-native.
 
@@ -515,6 +506,11 @@ class SimulationEngine:
         after each day's rows are in ``builder`` -- including days that
         produced no rows -- which is where the checkpoint runner
         persists progress.
+
+        ``ledger``, if given, records each day's market sums
+        (:meth:`~repro.obs.timeseries.DayLedger.record_day`) before
+        ``on_day_complete``: reductions of arrays the day body already
+        computed, so no RNG stream moves.
         """
         config = self.config
         if end_day is None:
@@ -533,20 +529,17 @@ class SimulationEngine:
         # The builder may be drained mid-loop (checkpoint chunks), so
         # progress is tracked off the cumulative rows counter instead.
         rows_at_start = _ROWS_EMITTED.value
-        ledger = obs.dayledger()
         with obs.span(
             "phase3.auctions", start_day=start_day, days=config.days
         ) as phase_span:
             for day in range(start_day, end_day):
-                if ledger is not None:
-                    # Open (and zero) the ledger row before the day body
-                    # so early-out days (no live offers, no candidates)
-                    # still serialize as explicit zero rows.
-                    ledger.begin_day(day)
+                fields = None if ledger is None else {}
                 with obs.span("phase3.day", day=day):
                     self._run_auction_day(
-                        day, market, builder, sampler, exam_table, index
+                        day, market, builder, sampler, exam_table, index, fields
                     )
+                if ledger is not None:
+                    ledger.record_day(day, **fields)
                 if heartbeat and (day + 1) % heartbeat == 0:
                     elapsed = tracer.now() - phase_span.start
                     rows = _ROWS_EMITTED.value - rows_at_start
@@ -568,8 +561,7 @@ class SimulationEngine:
 
         Used by days that cannot reach the real gather (no live
         offers).  ``run_auction_batch`` is deterministic and draw-free,
-        so this moves no RNG stream; the ledger kernel feed adds zeros
-        to an already-zeroed day row, leaving its bytes unchanged.
+        so this moves no RNG stream, and its counts are zero.
         """
         empty_ids = np.zeros(0, dtype=np.int64)
         empty_vals = np.zeros(0, dtype=np.float64)
@@ -594,18 +586,15 @@ class SimulationEngine:
         sampler: QuerySampler,
         exam_table: np.ndarray,
         index: EligibilityIndex,
+        fields: dict | None,
     ) -> None:
-        """One day of the batched auction loop (body of Phase 3)."""
+        """One day of the batched auction loop (body of Phase 3); when
+        ``fields`` is a dict, the day's ledger sums are stored in it."""
         config = self.config
         rng_clicks = self._rng_clicks
         auction_config = config.auction
         time = day + 0.5
-        ledger = obs.dayledger()
         buckets = market.day_buckets(time, self._rng_market)
-        if ledger is not None and len(buckets):
-            ledger.record_active_accounts(
-                day, int(np.unique(market.adv_row[buckets.rows]).size)
-            )
         if len(buckets) == 0:
             # Span parity: a dead-market day (e.g. day 0, when no offer
             # is live yet at t=0.5) must still emit the auction.gather
@@ -615,6 +604,10 @@ class SimulationEngine:
             # the kernel is draw-free, so no RNG stream moves.
             self._emit_empty_auction_day()
             return
+        if fields is not None:
+            fields["active_accounts"] = int(
+                np.unique(market.adv_row[buckets.rows]).size
+            )
         queries = sampler.sample_day(self._rng_queries)
         n_queries = len(queries)
         _QUERIES_SAMPLED.inc(n_queries)
@@ -640,6 +633,9 @@ class SimulationEngine:
             auction_config,
             n_queries,
         )
+        if fields is not None:
+            fields["kernel_candidates"] = len(segments)
+            fields["kernel_shown"] = len(result)
         if len(result) == 0:
             return
         shown_rows = rows[result.candidate_index]
@@ -657,12 +653,11 @@ class SimulationEngine:
         _CLICKS_DRAWN.inc(float(clicks.sum()))
         _ROWS_EMITTED.inc(len(lam))
         spend = clicks * result.price
-        if ledger is not None:
+        if fields is not None:
             # Pure reductions over arrays already computed for the
             # impression batch -- no RNG contact, no behavior change.
             fraud = market.fraud_labeled[shown_rows]
-            ledger.record_auction_day(
-                day,
+            fields.update(
                 impressions=float(weight[shown_seg].sum()),
                 clicks=float(clicks.sum()),
                 fraud_clicks=float(clicks[fraud].sum()),

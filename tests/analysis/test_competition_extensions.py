@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.competition import CompetitionAnalyzer
 from repro.analysis.subsets import SubsetBuilder
-from repro.errors import SubsetError
 
 
 @pytest.fixture(scope="module")

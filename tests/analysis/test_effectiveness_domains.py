@@ -1,7 +1,6 @@
 """Tests for the Section 4.2 / 5.2.4 extension analyses."""
 
 import numpy as np
-import pytest
 
 from repro.analysis.domains import fraud_domain_usage
 from repro.analysis.effectiveness import advertiser_effectiveness

@@ -9,7 +9,7 @@ from repro.analysis.concentration import fraud_concentration, top_share
 from repro.analysis.lifetimes import fraud_lifetimes, preads_shutdown_share
 from repro.analysis.registration import fraud_registration_share
 from repro.errors import AnalysisError
-from repro.timeline import DAYS_PER_WEEK, Window
+from repro.timeline import DAYS_PER_WEEK
 
 
 class TestRegistrationShare:

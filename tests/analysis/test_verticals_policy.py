@@ -1,6 +1,5 @@
 """Tests tying the vertical-spend analysis to the policy timeline."""
 
-import numpy as np
 import pytest
 
 from repro import run_simulation, small_config

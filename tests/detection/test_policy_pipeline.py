@@ -1,11 +1,9 @@
 """Tests for the policy engine and the full detection pipeline."""
 
 import numpy as np
-import pytest
 
 from repro.behavior.factory import IdAllocator, MaterializedAccount, materialize_account
 from repro.behavior.fraudulent import sample_fraud_profile
-from repro.behavior.legitimate import sample_legitimate_profile
 from repro.config import DetectionConfig, default_config
 from repro.detection.content_filter import content_filter_catch_prob
 from repro.detection.pipeline import DetectionPipeline

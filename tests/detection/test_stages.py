@@ -5,7 +5,7 @@ import pytest
 
 from repro.behavior.bidding import BidLevels, MatchMix
 from repro.behavior.profiles import AdvertiserProfile
-from repro.config import DetectionConfig, QueryConfig, default_config
+from repro.config import DetectionConfig, QueryConfig
 from repro.detection.hazards import hardening_multiplier, sample_exponential_delay
 from repro.detection.payment import sample_payment_detection
 from repro.detection.rate_monitor import rate_hazard, sample_rate_detection

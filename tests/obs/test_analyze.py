@@ -27,18 +27,17 @@ from repro.obs.timeseries import (
     window_means,
 )
 
-from .test_diff import make_run
+from .test_diff import make_run, policy_timeline, stand_in_accounts
 
 
 def _spiked_ledger(days=40, spike_day=35, policy_day=None) -> DayLedger:
     """Constant marketplace with one click spike (and optional policy day)."""
-    ledger = DayLedger(days=days)
-    if policy_day is not None:
-        ledger.record_policy_change(policy_day)
+    ledger = DayLedger(days)
+    ledger.record_phase1(
+        stand_in_accounts([(5, 2)] * days), [], policy_timeline(policy_day)
+    )
     for day in range(days):
-        ledger.record_registrations(day, 5, 2)
-        ledger.begin_day(day)
-        ledger.record_auction_day(
+        ledger.record_day(
             day,
             impressions=100.0,
             clicks=500.0 if day == spike_day else 10.0,
@@ -109,10 +108,12 @@ class TestPolicyEffects:
             assert effect["delta"] == post - pre
 
     def test_relative_none_when_pre_mean_zero(self):
-        ledger = DayLedger(days=60)
-        ledger.record_policy_change(30)
-        for day in range(60):
-            ledger.record_registrations(day, 1, 1 if day >= 30 else 0)
+        ledger = DayLedger(60)
+        ledger.record_phase1(
+            stand_in_accounts((1, 1 if day >= 30 else 0) for day in range(60)),
+            [],
+            policy_timeline(30),
+        )
         effects = policy_effects(ledger.rows())
         fraud = effects["30"]["registrations_fraud"]
         assert fraud["pre_mean"] == 0.0

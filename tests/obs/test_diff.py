@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.detection.policy import PolicyChange
+from repro.entities.enums import AdvertiserKind
 from repro.obs.__main__ import main as obs_main
 from repro.obs.diff import (
     diff_runs,
@@ -41,14 +44,32 @@ def _metrics(counters):
     }
 
 
+def stand_in_accounts(per_day) -> list[SimpleNamespace]:
+    """Account stand-ins registering ``(legit, fraud)`` accounts on each
+    day in turn -- all :meth:`DayLedger.record_phase1` reads of them."""
+    kinds = (AdvertiserKind.LEGITIMATE, AdvertiserKind.FRAUD_TYPICAL)
+    return [
+        SimpleNamespace(created_time=day + 0.5, kind=kind)
+        for day, counts in enumerate(per_day)
+        for kind, count in zip(kinds, counts)
+        for _ in range(count)
+    ]
+
+
+def policy_timeline(policy_day) -> list[PolicyChange]:
+    """No policy change, or one taking effect on ``policy_day``."""
+    if policy_day is None:
+        return []
+    return [PolicyChange(float(policy_day), "vertical ban", "pharma")]
+
+
 def _ledger(days=4, clicks=10.0, policy_day=None) -> DayLedger:
-    ledger = DayLedger(days=days)
-    if policy_day is not None:
-        ledger.record_policy_change(policy_day)
+    ledger = DayLedger(days)
+    ledger.record_phase1(
+        stand_in_accounts([(5, 2)] * days), [], policy_timeline(policy_day)
+    )
     for day in range(days):
-        ledger.record_registrations(day, 5, 2)
-        ledger.begin_day(day)
-        ledger.record_auction_day(
+        ledger.record_day(
             day,
             impressions=100.0,
             clicks=clicks,

@@ -9,16 +9,23 @@ CI diff-gate) must therefore hold.
 
 import pytest
 
+import repro.records.atomic as atomic
+from repro import obs
 from repro.obs.__main__ import main as obs_main
 from repro.obs.timeseries import DAYLEDGER_NAME, load_rows
 from repro.runner import (
+    IO_ERROR,
     IO_TORN,
     CheckpointRunner,
     Fault,
     FaultPlan,
     InjectedCrash,
+    RunManifest,
     WriteFault,
+    verify_run,
 )
+from repro.runner.__main__ import main as runner_main
+from repro.runner.manifest import MANIFEST_NAME
 
 from .conftest import assert_results_identical
 
@@ -127,3 +134,127 @@ def test_resume_of_completed_run_preserves_ledger(
         runner_config, run_dir, checkpoint_every=CHECKPOINT_EVERY
     ).run(resume=True)
     assert (run_dir / DAYLEDGER_NAME).read_bytes() == before
+
+
+class TestNeverVouchAPartialLedger:
+    """A ledger whose market rows cannot all be accounted for is
+    degraded -- one ``io.degraded``, no artifact, no file -- and the
+    simulation output is unchanged."""
+
+    @staticmethod
+    def failing_flushes() -> WriteFault:
+        """Every ledger flush from the third on fails: Phase 1's and the
+        first chunk's land, the rest never do."""
+        return WriteFault(DAYLEDGER_NAME, action=IO_ERROR, nth=3, times=10**9)
+
+    @pytest.fixture(autouse=True)
+    def _no_retry_sleep(self, monkeypatch):
+        monkeypatch.setattr(atomic, "RETRY_DELAYS", (0.0,) * 3)
+
+    @staticmethod
+    def _resume_counting_degrades(config, run_dir):
+        degraded = obs.counter("io.degraded")
+        before = degraded.value
+        result = CheckpointRunner(
+            config, run_dir, checkpoint_every=CHECKPOINT_EVERY
+        ).run(resume=True)
+        return result, degraded.value - before
+
+    @staticmethod
+    def assert_no_ledger(run_dir):
+        manifest = RunManifest.load(run_dir / MANIFEST_NAME)
+        assert manifest.phase == "complete"
+        assert DAYLEDGER_NAME not in manifest.artifacts
+        assert not (run_dir / DAYLEDGER_NAME).exists()
+        report = verify_run(run_dir)
+        assert report.ok, report.issues
+
+    def test_deleted_ledger_degrades_on_resume(
+        self, runner_config, ledger_reference, tmp_path
+    ):
+        _interrupt(
+            runner_config, tmp_path, FaultPlan.crash_at("phase3:day", day=23)
+        )
+        (tmp_path / DAYLEDGER_NAME).unlink()
+        result, degraded = self._resume_counting_degrades(runner_config, tmp_path)
+        assert degraded == 1
+        assert_results_identical(ledger_reference["result"], result)
+        self.assert_no_ledger(tmp_path)
+
+    def test_failed_flushes_then_crash_degrade_on_resume(
+        self, runner_config, ledger_reference, tmp_path
+    ):
+        plan = FaultPlan(
+            [Fault("phase3:day", day=23)], io_faults=[self.failing_flushes()]
+        )
+        _interrupt(runner_config, tmp_path, plan)
+        # The failed flush stopped the manifest vouching the old ledger.
+        manifest = RunManifest.load(tmp_path / MANIFEST_NAME)
+        assert manifest.next_day == 20
+        assert DAYLEDGER_NAME not in manifest.artifacts
+        result, degraded = self._resume_counting_degrades(runner_config, tmp_path)
+        assert degraded == 1
+        assert_results_identical(ledger_reference["result"], result)
+        self.assert_no_ledger(tmp_path)
+
+    def test_failed_flushes_never_vouch_a_partial_ledger(
+        self, runner_config, ledger_reference, tmp_path
+    ):
+        result = CheckpointRunner(
+            runner_config,
+            tmp_path,
+            checkpoint_every=CHECKPOINT_EVERY,
+            faults=FaultPlan(io_faults=[self.failing_flushes()]),
+        ).run(resume=False)
+        assert_results_identical(ledger_reference["result"], result)
+        self.assert_no_ledger(tmp_path)
+
+    def test_torn_ledger_line_degrades_cli_resume(
+        self, runner_config, ledger_reference, tmp_path
+    ):
+        _interrupt(
+            runner_config, tmp_path, FaultPlan.crash_at("phase3:day", day=23)
+        )
+        ledger = tmp_path / DAYLEDGER_NAME
+        lines = ledger.read_text().splitlines()
+        lines[10] = lines[10][:30]
+        ledger.write_text("\n".join(lines) + "\n")
+        code = runner_main(
+            [
+                "run",
+                "--checkpoint-dir",
+                str(tmp_path),
+                "--resume",
+                "--small",
+                "--seed",
+                str(runner_config.seed),
+                "--days",
+                str(runner_config.days),
+                "--checkpoint-every",
+                str(CHECKPOINT_EVERY),
+            ]
+        )
+        assert code == 0
+        self.assert_no_ledger(tmp_path)
+        reloaded = CheckpointRunner(
+            runner_config, tmp_path, checkpoint_every=CHECKPOINT_EVERY
+        ).run(resume=True)
+        assert_results_identical(ledger_reference["result"], reloaded)
+
+    def test_flush_that_lands_vouches_the_ledger_again(
+        self, runner_config, ledger_reference, tmp_path
+    ):
+        # One flush fails on every attempt; the next one lands the
+        # whole in-memory ledger, and the manifest vouches it again.
+        transient = WriteFault(DAYLEDGER_NAME, action=IO_ERROR, nth=2, times=4)
+        CheckpointRunner(
+            runner_config,
+            tmp_path,
+            checkpoint_every=CHECKPOINT_EVERY,
+            faults=FaultPlan(io_faults=[transient]),
+        ).run(resume=False)
+        assert transient.seen > transient.nth + transient.times
+        manifest = RunManifest.load(tmp_path / MANIFEST_NAME)
+        assert DAYLEDGER_NAME in manifest.artifacts
+        assert (tmp_path / DAYLEDGER_NAME).read_bytes() == ledger_reference["bytes"]
+        assert verify_run(tmp_path).ok

@@ -117,6 +117,32 @@ class TestVerify:
         damaged = {i.path for i in report.damage}
         assert damaged == {MARKET_NAME, DAYLEDGER_NAME}
 
+    def test_incomplete_run_ledger_missing_or_newer(self, tmp_path):
+        # On an incomplete run a ledger flushed just before a crash may
+        # be newer than the manifest (a note), but a vouched ledger that
+        # does not exist is damage, as in every phase.
+        config = small_config(seed=SEED, days=DAYS)
+        with pytest.raises(InjectedCrash):
+            CheckpointRunner(
+                config,
+                tmp_path,
+                checkpoint_every=EVERY,
+                faults=FaultPlan.crash_at("phase3:day", day=7),
+            ).run(resume=False)
+        ledger = tmp_path / DAYLEDGER_NAME
+        ledger.write_text(ledger.read_text() + "\n")
+        report = verify_run(tmp_path)
+        assert report.ok
+        assert [(i.kind, i.path) for i in report.issues] == [
+            ("note", DAYLEDGER_NAME)
+        ]
+        ledger.unlink()
+        report = verify_run(tmp_path)
+        assert report.phase == "phase3"
+        assert [(i.kind, i.path) for i in report.damage] == [
+            ("missing", DAYLEDGER_NAME)
+        ]
+
     def test_unreadable_manifest_raises(self, run_dir):
         (run_dir / MANIFEST_NAME).write_text("{not json")
         with pytest.raises(SimulationError):

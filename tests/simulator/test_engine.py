@@ -5,7 +5,6 @@ import pytest
 
 from repro import run_simulation, small_config
 from repro.entities.enums import AdvertiserKind
-from repro.timeline import Window
 
 
 class TestDeterminism:

@@ -1,6 +1,5 @@
 """Tests for keyword pools and ad-copy rendering."""
 
-import numpy as np
 import pytest
 
 from repro.matching.blacklist import Blacklist, contains_phone_number
