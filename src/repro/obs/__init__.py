@@ -15,7 +15,8 @@ events and counters:
   diagnostics go to stderr through :mod:`~repro.obs.logsetup`);
 * **the day ledger** (:mod:`~repro.obs.timeseries`) -- per-day
   marketplace-health rows; not a process-global, but an object the
-  runner fills from Phase 1's outputs and passes to the auction loop;
+  runner builds from Phase 1's outputs and the run manifest's market
+  rows and passes to the auction loop;
 * **reporting** -- ``python -m repro.obs report <run-dir>`` renders
   ``telemetry.jsonl`` into a phase-tree timing table and counter
   summary (:mod:`~repro.obs.report`);

@@ -342,8 +342,10 @@ def analyze_run(run_dir: str | Path, **params) -> dict:
     """Analyze one run directory's ledger.
 
     Raises ``FileNotFoundError`` when the directory or its
-    ``dayledger.jsonl`` is missing -- this command produces an
-    artifact, so a silent no-op would masquerade as a healthy analysis.
+    ``dayledger.jsonl`` is missing, and ``ValueError`` when the ledger
+    is damaged (:func:`~repro.obs.timeseries.load_rows`) -- this
+    command produces an artifact, so a silent no-op would masquerade
+    as a healthy analysis.
     """
     run_dir = Path(run_dir)
     ledger = run_dir / DAYLEDGER_NAME

@@ -18,15 +18,15 @@ test_dayledger.py``) and the collection overhead stays under the same
 3% budget as the JSONL telemetry sink
 (``benchmarks/test_ledger_overhead.py``).
 
-Crash-safety and resume: the runner flushes the ledger with the atomic
-whole-file rewrite protocol (:mod:`repro.records.atomic`) just before
-each manifest save.  A resumed run recomputes the Phase-1 half from the
-Phase-1 snapshot and reloads only the market rows of days before the
-resume point (:meth:`DayLedger.preload`), re-simulating the rest with
-the same draws on the same arrays in the same order, so its final
-``dayledger.jsonl`` is **byte-identical** to an uninterrupted run's
-(``tests/runner/test_dayledger_resume.py``) -- or, when the durable
-file lacks one of those rows, the run carries on without a ledger.
+Durability and resume: until the run completes, the market rows live
+in the run manifest, each chunk entry carrying its days'
+(:meth:`DayLedger.market_rows`).  A resumed run recomputes the Phase-1
+half from the Phase-1 snapshot, re-records the rows of the verified
+chunks and re-simulates the rest with the same draws on the same arrays
+in the same order.  ``dayledger.jsonl`` is written once, atomically
+(:mod:`repro.records.atomic`), when the run completes, and is
+**byte-identical** to an uninterrupted run's
+(``tests/runner/test_dayledger_resume.py``).
 
 Row schema (JSON object per line, keys sorted; floats as Python repr):
 
@@ -76,6 +76,8 @@ __all__ = [
     "ANALYZE_NAME",
     "DAYLEDGER_NAME",
     "LEDGER_SERIES",
+    "MARKET_FIELDS",
+    "MARKET_INT_FIELDS",
     "POLICY_KEY_SERIES",
     "POLICY_WINDOW_DAYS",
     "DayLedger",
@@ -106,7 +108,7 @@ POLICY_KEY_SERIES = (
 )
 
 #: Integer market fields of a Phase-3 day.
-_MARKET_INT_FIELDS = (
+MARKET_INT_FIELDS = (
     "rows",
     "auctions",
     "active_accounts",
@@ -124,7 +126,8 @@ _MARKET_FLOAT_FIELDS = (
     "fraud_spend",
 )
 
-_MARKET_FIELDS = (*_MARKET_INT_FIELDS, *_MARKET_FLOAT_FIELDS)
+#: The market half of a row, as :meth:`DayLedger.record_day` takes it.
+MARKET_FIELDS = (*MARKET_INT_FIELDS, *_MARKET_FLOAT_FIELDS)
 
 #: Every per-day numeric series a ledger row exposes (diffable set).
 #: ``shutdowns`` is a nested ``{stage: count}`` map and is flattened to
@@ -132,7 +135,7 @@ _MARKET_FIELDS = (*_MARKET_INT_FIELDS, *_MARKET_FLOAT_FIELDS)
 LEDGER_SERIES: tuple[str, ...] = (
     "registrations_legit",
     "registrations_fraud",
-    *_MARKET_FIELDS,
+    *MARKET_FIELDS,
     "fraud_click_share",
     "fraud_spend_share",
     "mean_cpc",
@@ -184,7 +187,7 @@ class DayLedger:
         """Set one Phase-3 day's market sums (named as in
         :data:`LEDGER_SERIES`); one not given reads 0, an unknown one
         raises ``TypeError``."""
-        row = {name: int(fields.pop(name, 0)) for name in _MARKET_INT_FIELDS}
+        row = {name: int(fields.pop(name, 0)) for name in MARKET_INT_FIELDS}
         row.update(
             (name, float(fields.pop(name, 0.0))) for name in _MARKET_FLOAT_FIELDS
         )
@@ -248,41 +251,22 @@ class DayLedger:
         atomic_write_text(path, text)
         return text
 
-    # -- resume --------------------------------------------------------
-
-    def preload(self, path: str | Path, market_before: int) -> None:
-        """Reload the market rows of days ``< market_before`` from an
-        interrupted run's durable ledger; later days are re-simulated
-        and the Phase-1 half comes from :meth:`record_phase1`.  Raises
-        ``OSError`` or ``ValueError`` when the file is unreadable or
-        malformed or lacks one of those rows: a stale or partial ledger
-        that must not be vouched for."""
-        try:
-            market = {row["day"]: row for row in load_rows(path) if "rows" in row}
-            for day in range(market_before):
-                fields = {name: market[day][name] for name in _MARKET_FIELDS}
-                self.record_day(day, **fields)
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(
-                f"{path}: no whole market row for every day before "
-                f"{market_before} ({exc!r})"
-            ) from exc
+    def market_rows(self, day_start: int, day_end: int) -> list[dict]:
+        """The recorded market halves of days ``[day_start, day_end)``,
+        in day order: the rows a run-manifest chunk entry carries."""
+        return [dict(self._market[day]) for day in range(day_start, day_end)]
 
 
 def load_rows(path: str | Path) -> list[dict]:
     """Parse a ``dayledger.jsonl`` file into per-day row dicts.
 
-    The atomic-flush protocol means a *durable* ledger never contains
-    a torn line -- but live readers (``watch``, ``analyze`` on a
-    still-running run) can race the whole-file rewrite and observe a
-    truncated or garbage tail.  Trailing malformed lines are therefore
-    skipped with one logged notice and the healthy prefix returned; a
-    malformed line *followed by* healthy rows cannot be a rewrite race
-    and still raises ``ValueError`` naming the offending line (that is
-    damage, and the run doctor's business).
+    The ledger is written once, whole, through ``os.replace``, so no
+    reader can see a partial file: a line that is not a JSON object
+    with a ``day``, wherever it is, is damage (the run doctor's
+    business) and raises ``ValueError`` naming the first such line, as
+    does a file with no rows at all.
     """
     rows: list[dict] = []
-    bad: list[str] = []
     for lineno, line in enumerate(
         Path(path).read_text().splitlines(), start=1
     ):
@@ -292,22 +276,14 @@ def load_rows(path: str | Path) -> list[dict]:
         try:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
-            bad.append(f"{path}:{lineno}: malformed ledger line ({exc})")
-            continue
+            raise ValueError(
+                f"{path}:{lineno}: malformed ledger line ({exc})"
+            ) from None
         if not isinstance(row, dict) or "day" not in row:
-            bad.append(f"{path}:{lineno}: not a ledger row")
-            continue
-        if bad:
-            raise ValueError(bad[0])
+            raise ValueError(f"{path}:{lineno}: not a ledger row")
         rows.append(row)
-    if bad:
-        from .logsetup import get_logger
-
-        get_logger("obs.timeseries").warning(
-            "%s; skipped %d trailing line(s) (mid-rewrite tail)",
-            bad[0],
-            len(bad),
-        )
+    if not rows:
+        raise ValueError(f"{path}: no ledger rows")
     return rows
 
 

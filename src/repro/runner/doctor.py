@@ -2,17 +2,18 @@
 
 :func:`verify_run` audits a run directory against its manifest: every
 vouched artifact (phase snapshots, every impression chunk, the day
-ledger) is re-checksummed, stray ``.tmp`` files and unvouched chunk
-files are reported, and the chunk index is checked for full day
-coverage on completed runs.
+ledger of a completed run) is re-checksummed, and stray ``.tmp`` files
+and unvouched chunk files are reported.  The manifest's own structure
+is checked as it loads (:meth:`~repro.runner.manifest.RunManifest.load`).
 
 :func:`repair_run` restores a damaged *completed* run to the byte-exact
 state of a never-damaged one.  It can, because the simulation is
 deterministic end to end: the manifest embeds the full configuration,
-records the serialized RNG stream states after every chunk, and vouches
-a SHA-256 for every artifact -- so the doctor re-simulates exactly the
-damaged day ranges and refuses to write anything whose bytes do not
-hash to what the manifest promised.  Two repair strategies:
+records the serialized RNG stream states and ledger rows after every
+chunk, and vouches a SHA-256 for every artifact -- so the doctor
+re-simulates exactly the damaged artifacts and refuses to write
+anything whose bytes do not hash to what the manifest promised.  Two
+repair strategies (``quarantine-only`` when there are only strays):
 
 * **chunk replay** -- only impression chunks are damaged.  The intact
   market snapshot is loaded (the auctions read nothing else of Phase
@@ -22,14 +23,14 @@ hash to what the manifest promised.  Two repair strategies:
 * **full replay** -- a phase snapshot or the day ledger is damaged.
   Phases 1 and 2 are re-run from the seed through
   :meth:`~repro.simulator.engine.SimulationEngine.build_phase1`, the
-  sequence the runner and the engine's own ``run`` use, and the
-  damaged snapshots rewritten; a fresh ledger takes its Phase-1 half
-  from those outputs, then every chunk goes through the chunk replay
-  above with that ledger (which needs every day), rewriting only the
-  damaged ones; then the ledger is rewritten if it is damaged.
+  sequence the runner and the engine's own ``run`` use; the damaged
+  snapshots are rewritten, a damaged ledger is rebuilt from those
+  outputs and the manifest's rows
+  (:func:`~repro.runner.runner.rebuild_ledger`, as on resume), and
+  only the damaged chunks go through the chunk replay above.
   Each regenerated byte string is verified against the manifest
   before it is written, and the RNG streams are checked after Phase 1
-  and after every chunk.
+  and after every replayed chunk.
 
 Damaged and stray files are moved into ``<run_dir>/quarantine/`` (never
 deleted) before their replacements are written.  If a regenerated
@@ -49,14 +50,14 @@ from .. import obs
 from ..errors import SimulationError
 from ..obs.progress import PROGRESS_NAME
 from ..obs.sink import TELEMETRY_NAME
-from ..obs.timeseries import ANALYZE_NAME, DAYLEDGER_NAME, DayLedger
+from ..obs.timeseries import ANALYZE_NAME, DAYLEDGER_NAME
 from ..records.atomic import atomic_write_bytes, sha256_bytes, sha256_file
 from ..records.impressions import ImpressionBuilder
 from ..simulator.engine import SimulationEngine
 from ..simulator.market import MarketIndex
 from .chunkstore import CHUNK_DIR, chunk_to_bytes
 from .manifest import MANIFEST_NAME, RunManifest
-from .runner import MARKET_NAME, PHASE1_NAME, snapshot_bytes
+from .runner import MARKET_NAME, PHASE1_NAME, rebuild_ledger, snapshot_bytes
 
 __all__ = [
     "QUARANTINE_DIR",
@@ -114,7 +115,8 @@ class VerifyReport:
 @dataclass
 class RepairReport:
     run_dir: Path
-    strategy: str  #: "none" | "chunk-replay" | "full-replay"
+    #: "none" | "chunk-replay" | "full-replay" | "quarantine-only"
+    strategy: str
     quarantined: list[str] = field(default_factory=list)
     rewritten: list[str] = field(default_factory=list)
     verify: VerifyReport | None = None
@@ -154,24 +156,9 @@ def verify_run(run_dir: str | Path) -> VerifyReport:
                 Issue("missing", relative, "vouched file is missing")
             )
         elif sha256_file(path) != recorded:
-            if relative == DAYLEDGER_NAME and manifest.phase != "complete":
-                # Crash window: the ledger is flushed *before* the
-                # manifest, so on an incomplete run it may legitimately
-                # be newer than the manifest that vouched it.  Only a
-                # completed run pins it exactly.
-                report.issues.append(
-                    Issue(
-                        "note",
-                        relative,
-                        "newer than manifest (flushed before the crash); "
-                        "resume reconciles it",
-                        fatal=False,
-                    )
-                )
-            else:
-                report.issues.append(
-                    Issue("checksum", relative, "does not match manifest")
-                )
+            report.issues.append(
+                Issue("checksum", relative, "does not match manifest")
+            )
         else:
             report.checked += 1
 
@@ -183,19 +170,6 @@ def verify_run(run_dir: str | Path) -> VerifyReport:
         # verify reports facts -- but resume discards and re-simulates
         # it, so the doctor treats it exactly like any other chunk.
         check(entry.file, entry.sha256)
-
-    if manifest.phase == "complete":
-        covered = manifest.chunks[-1].day_end if manifest.chunks else 0
-        if covered != manifest.days:
-            report.issues.append(
-                Issue(
-                    "coverage",
-                    MANIFEST_NAME,
-                    f"chunk index covers [0, {covered}) of "
-                    f"{manifest.days} days",
-                    fatal=True,
-                )
-            )
 
     vouched = {entry.file for entry in manifest.chunks}
     chunk_dir = run_dir / CHUNK_DIR
@@ -279,17 +253,15 @@ def _replay_chunks(
     engine: SimulationEngine,
     market: MarketIndex,
     manifest: RunManifest,
-    indices: range | list[int],
     damaged: set[str],
     run_dir: Path,
     report: RepairReport,
-    ledger: DayLedger | None = None,
 ) -> None:
-    """Re-simulate the given chunks' day ranges, each from its
-    predecessor's recorded RNG states, and rewrite the damaged ones;
-    ``ledger``, if given, records every replayed day."""
-    for index in indices:
-        entry = manifest.chunks[index]
+    """Re-simulate the damaged chunks' day ranges, each from its
+    predecessor's recorded RNG states, and rewrite them."""
+    for index, entry in enumerate(manifest.chunks):
+        if entry.file not in damaged:
+            continue
         if index == 0:
             states = manifest.phase3_start_rng
         else:
@@ -308,11 +280,7 @@ def _replay_chunks(
             day_end=entry.day_end,
         )
         engine.run_auctions(
-            market,
-            builder,
-            start_day=entry.day_start,
-            end_day=entry.day_end,
-            ledger=ledger,
+            market, builder, start_day=entry.day_start, end_day=entry.day_end
         )
         if engine.rng_state() != entry.rng_after:
             raise SimulationError(
@@ -321,51 +289,39 @@ def _replay_chunks(
                 f"manifest; the run is not reproducible -- refusing to "
                 f"repair"
             )
-        if entry.file in damaged:
-            _rewrite(
-                run_dir,
-                entry.file,
-                chunk_to_bytes(builder.drain(), entry.day_start, entry.day_end),
-                entry.sha256,
-                report,
-            )
+        _rewrite(
+            run_dir,
+            entry.file,
+            chunk_to_bytes(builder.drain(), entry.day_start, entry.day_end),
+            entry.sha256,
+            report,
+        )
 
 
 def _full_replay(
-    config,
+    engine: SimulationEngine,
     manifest: RunManifest,
     damaged: set[str],
     run_dir: Path,
     report: RepairReport,
-) -> None:
-    """Re-run the whole simulation, rewriting every damaged artifact:
-    first the snapshots, then the chunks (every chunk is replayed,
-    because the day ledger needs every day), then the ledger."""
-    obs.event("doctor.replay", file="*", day_start=0, day_end=manifest.days)
-    engine = SimulationEngine(config)
+) -> MarketIndex:
+    """Re-run Phases 1 and 2, rewrite the damaged snapshots and ledger,
+    and return the market."""
+    obs.event("doctor.replay", phases="1-2")
     summaries, records, market = engine.build_phase1()
     if engine.rng_state() != manifest.phase3_start_rng:
         raise SimulationError(
             "RNG streams after Phase 1 do not match the manifest; "
             "the run is not reproducible -- refusing to repair"
         )
-    ledger = DayLedger(config.days)
-    ledger.record_phase1(summaries, records, engine.pipeline.policy.changes)
     for name, blob in snapshot_bytes(summaries, records, market):
         if name in damaged:
             _rewrite(run_dir, name, blob, manifest.artifacts[name], report)
         del blob  # freed before the next snapshot is pickled
-    _replay_chunks(
-        engine,
-        market,
-        manifest,
-        range(len(manifest.chunks)),
-        damaged,
-        run_dir,
-        report,
-        ledger,
-    )
     if DAYLEDGER_NAME in damaged:
+        ledger = rebuild_ledger(
+            manifest, summaries, records, engine.pipeline.policy.changes
+        )
         _rewrite(
             run_dir,
             DAYLEDGER_NAME,
@@ -373,6 +329,7 @@ def _full_replay(
             manifest.artifacts[DAYLEDGER_NAME],
             report,
         )
+    return market
 
 
 def repair_run(run_dir: str | Path) -> RepairReport:
@@ -400,39 +357,22 @@ def repair_run(run_dir: str | Path) -> RepairReport:
 
     damaged: set[str] = set()
     for issue in before.damage:
+        # Quarantining a "stray" or "tmp" file is its whole repair.
         if issue.kind in ("missing", "checksum"):
             damaged.add(issue.path)
-        elif issue.kind not in ("stray", "tmp"):
-            # Structural damage to the manifest itself (e.g. a chunk
-            # index that no longer covers the horizon) has no vouched
-            # bytes to re-simulate toward.
-            raise SimulationError(
-                f"{run_dir}: {issue.path}: {issue.detail}; this is not "
-                f"repairable by re-simulation"
-            )
         _quarantine(run_dir, issue.path, report)
 
-    snapshots_damaged = bool(
-        damaged & {PHASE1_NAME, MARKET_NAME, DAYLEDGER_NAME}
-    )
-    if snapshots_damaged:
-        report.strategy = "full-replay"
-        _full_replay(config, manifest, damaged, run_dir, report)
-    elif damaged:
-        report.strategy = "chunk-replay"
-        engine = SimulationEngine(config)
-        market = pickle.loads((run_dir / MARKET_NAME).read_bytes())
-        indices = [
-            index
-            for index, entry in enumerate(manifest.chunks)
-            if entry.file in damaged
-        ]
-        _replay_chunks(
-            engine, market, manifest, indices, damaged, run_dir, report
-        )
-    else:
-        # Only strays/tmp orphans: quarantining them was the repair.
+    if not damaged:
         report.strategy = "quarantine-only"
+    else:
+        engine = SimulationEngine(config)
+        if damaged & {PHASE1_NAME, MARKET_NAME, DAYLEDGER_NAME}:
+            report.strategy = "full-replay"
+            market = _full_replay(engine, manifest, damaged, run_dir, report)
+        else:
+            report.strategy = "chunk-replay"
+            market = pickle.loads((run_dir / MARKET_NAME).read_bytes())
+        _replay_chunks(engine, market, manifest, damaged, run_dir, report)
 
     report.verify = verify_run(run_dir)
     return report

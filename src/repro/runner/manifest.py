@@ -1,28 +1,30 @@
 """The run-directory manifest.
 
-One JSON document (``MANIFEST.json``, format ``repro-run/3``) is the
+One JSON document (``MANIFEST.json``, format ``repro-run/4``) is the
 single source of truth for what a run directory durably contains: the
 configuration the run was started with (embedded in full, plus its
 hash), the package version, a SHA-256 checksum for every artifact, the
-per-chunk impression index, and the serialized ``bit_generator`` states
-of all five named RNG streams at each checkpoint.  The manifest is
-always rewritten atomically *after* the artifacts it references are
-durable, so resume can trust exactly what it lists and nothing else.
+per-chunk impression index with the day ledger's market rows, and the
+serialized ``bit_generator`` states of all five named RNG streams at
+each checkpoint.  The manifest is always rewritten atomically *after*
+the artifacts it references are durable, so resume can trust exactly
+what it lists and nothing else.
 
 :meth:`RunManifest.load` refuses any other format -- a run directory
 written under an older one (``repro-run/2`` pickled the whole detection
-pipeline into ``phase1.pkl``; ``/3`` holds only the account summaries
-and detection records) is re-run, not read (runs are
+pipeline into ``phase1.pkl``; ``/3`` kept the ledger's market rows in
+``dayledger.jsonl`` alone) is re-run, not read (runs are
 seed-deterministic, so the re-run reproduces its output) -- and any
 manifest naming a file outside the canonical layout: every chunk entry
 must be ``chunks/`` plus the :func:`~repro.runner.chunkstore.chunk_file_name`
 of its day range, and every artifact a plain file name in the run
 directory, so no manifest can point resume or the doctor elsewhere.
+The chunks of a ``complete`` manifest must end at ``days``.
 
-PCG64 states are plain nested dicts of ints, so they round-trip through
-JSON losslessly -- restoring them reproduces the exact draw sequence,
-which is what makes a resumed run bit-identical to an uninterrupted
-one.
+PCG64 states are plain nested dicts of ints, and ledger rows ints and
+floats, so they round-trip through JSON losslessly -- restoring the
+states reproduces the exact draw sequence, which is what makes a
+resumed run bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .._version import __version__
 from ..config import SimulationConfig, config_from_dict
 from ..errors import ConfigError, SimulationError
+from ..obs.timeseries import MARKET_FIELDS, MARKET_INT_FIELDS
 from ..records.atomic import atomic_write_text
 from .chunkstore import CHUNK_DIR, chunk_file_name
 
@@ -48,7 +52,7 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "MANIFEST.json"
-MANIFEST_FORMAT = "repro-run/3"
+MANIFEST_FORMAT = "repro-run/4"
 
 #: Phases a run directory can durably be in.  ``phase1`` means the
 #: population is still being generated (nothing durable yet beyond the
@@ -78,20 +82,45 @@ class ChunkEntry:
     #: RNG states of all five streams *after* day ``day_end - 1`` --
     #: restoring them resumes the simulation at ``day_end`` exactly.
     rng_after: dict
+    #: The day ledger's market half of each of those days, in day order
+    #: (one dict of :data:`~repro.obs.timeseries.MARKET_FIELDS` each).
+    ledger: list[dict]
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ChunkEntry":
         try:
-            return cls(
+            entry = cls(
                 file=str(payload["file"]),
                 sha256=str(payload["sha256"]),
                 day_start=int(payload["day_start"]),
                 day_end=int(payload["day_end"]),
                 rows=int(payload["rows"]),
                 rng_after=dict(payload["rng_after"]),
+                ledger=list(payload["ledger"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SimulationError(f"malformed chunk entry: {exc}") from None
+        days = entry.day_end - entry.day_start
+        if len(entry.ledger) != days or not all(map(_is_market_row, entry.ledger)):
+            raise SimulationError(
+                f"chunk entry {entry.file}: its ledger is not one row of the "
+                f"market fields per day, with integer counts and finite floats"
+            )
+        return entry
+
+
+def _is_market_row(row: object) -> bool:
+    """Exactly the market fields: ints for counts, else finite floats."""
+    return (
+        isinstance(row, dict)
+        and set(row) == set(MARKET_FIELDS)
+        and all(
+            type(value) is int
+            if name in MARKET_INT_FIELDS
+            else type(value) is float and math.isfinite(value)
+            for name, value in row.items()
+        )
+    )
 
 
 @dataclass
@@ -110,8 +139,8 @@ class RunManifest:
     format: str = MANIFEST_FORMAT
     package_version: str = __version__
     #: Artifact file name -> hex SHA-256: the phase1/market
-    #: snapshots plus the day ledger while its last flush landed --
-    #: every non-chunk artifact the doctor can vouch for.
+    #: snapshots plus, once the run completes, the day ledger if its
+    #: write landed -- every non-chunk artifact the doctor can vouch for.
     artifacts: dict[str, str] = field(default_factory=dict)
     #: RNG states at the start of Phase 3 (right after the market
     #: snapshot became durable); the resume point when no chunk exists.
@@ -237,4 +266,11 @@ class RunManifest:
                     f"tiling of days (at {chunk.file})"
                 )
             previous_end = chunk.day_end
+        if previous_end > manifest.days or (
+            manifest.phase == "complete" and previous_end != manifest.days
+        ):
+            raise SimulationError(
+                f"manifest {path}: chunk index covers [0, {previous_end}) "
+                f"of a {manifest.phase} run of {manifest.days} days"
+            )
         return manifest

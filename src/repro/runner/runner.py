@@ -6,7 +6,7 @@ Run directory layout::
       MANIFEST.json             config hash, checksums, chunk index, RNG states
       phase1.pkl                account summaries + detection records
       market.pkl                the Phase-2 MarketIndex snapshot
-      dayledger.jsonl           one marketplace-health row per day (repro.obs)
+      dayledger.jsonl           one marketplace-health row per day, written at the end
       chunks/
         chunk-00000-00007.npc   impression rows for days [0, 7), append-only
         chunk-00007-00014.npc   ...
@@ -15,7 +15,7 @@ The two snapshots hold only what resume reads back
 (:func:`snapshot_bytes`), so their bytes do not depend on the process
 that wrote them.  Chunks are columnar bundles
 (:mod:`repro.records.columnar`) named by :mod:`repro.runner.chunkstore`
-after their day range.  The manifest is format ``repro-run/3``
+after their day range.  The manifest is format ``repro-run/4``
 (:mod:`repro.runner.manifest`); resume refuses a directory written
 under any other format -- re-run it instead, the output is
 seed-deterministic -- and a manifest naming any file outside this
@@ -33,8 +33,8 @@ resume path is written for:
   verified by checksum and reloaded, durable chunks are verified and
   reloaded, the five RNG streams are restored from the last chunk's
   recorded state, and the day loop continues at ``next_day``; the day
-  ledger gets its Phase-1 half from the snapshot and its earlier market
-  rows from ``dayledger.jsonl``, or is dropped if the file lacks one;
+  ledger is rebuilt from the snapshot and the market rows the verified
+  chunk entries carry (:func:`rebuild_ledger`); no ledger file is read;
 * a chunk file that exists but is not in the manifest is a partial
   write from the crash -- deleted and re-simulated;
 * the *tail* manifest chunk whose file is missing or fails its
@@ -91,6 +91,7 @@ __all__ = [
     "MARKET_NAME",
     "TELEMETRY_NAME",
     "DAYLEDGER_NAME",
+    "rebuild_ledger",
     "snapshot_bytes",
 ]
 
@@ -125,6 +126,22 @@ def snapshot_bytes(
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     yield MARKET_NAME, pickle.dumps(market, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def rebuild_ledger(
+    manifest: RunManifest,
+    summaries: list[AccountSummary],
+    records: list[DetectionRecord],
+    policy_changes: list[PolicyChange],
+) -> DayLedger:
+    """The day ledger as far as ``manifest`` goes: the Phase-1 half
+    from Phase 1's outputs, the market rows from its chunk entries."""
+    ledger = DayLedger(manifest.days)
+    ledger.record_phase1(summaries, records, policy_changes)
+    for entry in manifest.chunks:
+        for day, fields in enumerate(entry.ledger, start=entry.day_start):
+            ledger.record_day(day, **fields)
+    return ledger
 
 
 class CheckpointRunner:
@@ -180,12 +197,13 @@ class CheckpointRunner:
         :class:`~repro.obs.resources.ResourceSampler` (the RSS/CPU/GC
         envelope per phase) and the :class:`~repro.obs.timeseries.DayLedger`
         (``dayledger.jsonl``), whose Phase-1 half the runner computes
-        and whose market rows the engine records.  Telemetry and ledger
-        are flushed atomically only at durable checkpoints, so neither
+        and whose market rows the engine records; each chunk entry of the
+        manifest carries its days' rows, and the ledger is written once,
+        just before the manifest is marked ``complete``.  Telemetry is
+        flushed atomically only at durable checkpoints, so it never
         describes more than the manifest guarantees: a crash loses only
         what was buffered since, exactly as it loses the impression rows
-        since then, and resume continues the same files (or drops a
-        ledger it cannot complete, :meth:`_resume_ledger`).
+        since then, and resume continues the same file.
         """
         has_manifest = self.manifest_path.exists()
         if resume is True and not has_manifest:
@@ -216,7 +234,6 @@ class CheckpointRunner:
         obs.add_sink(self._progress)
         self._sampler = ResourceSampler()
         self._sampler.start()
-        self._ledger = DayLedger(self.config.days)
         completed = False
         try:
             result = self._run(manifest)
@@ -269,51 +286,20 @@ class CheckpointRunner:
                 exc,
             )
 
-    def _drop_ledger(self, manifest: RunManifest, exc: Exception) -> None:
-        """Degrade the ledger: stop vouching it and remove the stale
-        file, best effort, so no reader takes it for this run's."""
-        self._degrade(DAYLEDGER_NAME, exc)
-        manifest.artifacts.pop(DAYLEDGER_NAME, None)
-        try:
-            self.ledger_path.unlink(missing_ok=True)
-        except OSError:
-            pass
-
     def _flush_ledger(self, manifest: RunManifest) -> None:
-        """Flush the day ledger and vouch its checksum in the manifest.
-
-        Called *before* ``manifest.save`` at every durable point, so a
-        vouched ledger is never older than the manifest.  A failed
-        flush degrades (:meth:`_drop_ledger`); the in-memory ledger is
-        still whole, so a later flush that lands vouches it again.
-        """
-        if self._ledger is None:
-            return
+        """Write the day ledger and vouch its checksum in the manifest.
+        A failed write degrades: no vouch, and a stale file is removed,
+        best effort, so no reader takes it for this run's."""
         try:
             text = self._ledger.flush(self.ledger_path)
         except OSError as exc:
-            self._drop_ledger(manifest, exc)
+            self._degrade(DAYLEDGER_NAME, exc)
+            try:
+                self.ledger_path.unlink(missing_ok=True)
+            except OSError:
+                pass
             return
         manifest.artifacts[DAYLEDGER_NAME] = sha256_bytes(text.encode("utf-8"))
-
-    def _resume_ledger(
-        self,
-        manifest: RunManifest,
-        summaries: list[AccountSummary],
-        records: list[DetectionRecord],
-        policy_changes: list[PolicyChange],
-    ) -> None:
-        """Rebuild the ledger of a run resumed in Phase 3: the Phase-1
-        half from the snapshot, the market rows of days before
-        ``next_day`` from the durable file.  A file lacking any of them
-        (missing, malformed or stale) drops the ledger for the rest of
-        the run rather than vouch one with holes."""
-        self._ledger.record_phase1(summaries, records, policy_changes)
-        try:
-            self._ledger.preload(self.ledger_path, manifest.next_day)
-        except (OSError, ValueError) as exc:
-            self._ledger = None
-            self._drop_ledger(manifest, exc)
 
     def _flush_telemetry(self) -> None:
         """Flush the telemetry sink, degrading on persistent failure."""
@@ -351,8 +337,7 @@ class CheckpointRunner:
                     checkpoint_every=self.checkpoint_every,
                 )
 
-            from_snapshot = manifest.phase != "phase1"
-            if from_snapshot:
+            if manifest.phase != "phase1":
                 summaries, records, market = self._load_phase1(manifest)
             else:
                 self._sampler.set_phase("phase1")
@@ -360,12 +345,11 @@ class CheckpointRunner:
 
             chunks = self._validate_chunks(manifest)
             if manifest.phase != "complete":
-                if from_snapshot:
-                    # After chunk validation, so that a discarded tail's
-                    # days (reflected in ``next_day``) are re-simulated.
-                    self._resume_ledger(
-                        manifest, summaries, records, policy_changes
-                    )
+                # After chunk validation, so that a discarded tail's
+                # days (reflected in ``next_day``) are re-simulated.
+                self._ledger = rebuild_ledger(
+                    manifest, summaries, records, policy_changes
+                )
                 states = manifest.resume_rng()
                 if states is None:
                     raise SimulationError(
@@ -421,9 +405,6 @@ class CheckpointRunner:
             self._faults.fire("phase1:day", day=day)
 
         summaries, records, market = engine.build_phase1(on_day_complete=on_day)
-        self._ledger.record_phase1(
-            summaries, records, engine.pipeline.policy.changes
-        )
         manifest.artifacts = {}
         for name, blob in snapshot_bytes(summaries, records, market):
             atomic_write_bytes(self.run_dir / name, blob)
@@ -431,10 +412,6 @@ class CheckpointRunner:
             del blob  # freed before the next snapshot is pickled
         manifest.phase3_start_rng = engine.rng_state()
         manifest.phase = "phase3"
-        # Ledger before manifest: a crash between the two leaves a
-        # ledger that is *newer* than the manifest, and resume reloads
-        # only the days the manifest's chunks vouch for.
-        self._flush_ledger(manifest)
         manifest.save(self.manifest_path)
         self._faults.fire("phase1:end")
         return summaries, records, market
@@ -561,11 +538,9 @@ class CheckpointRunner:
                 day_end=day_end,
                 rows=int(len(chunk["day"])),
                 rng_after=engine.rng_state(),
+                ledger=self._ledger.market_rows(day_start, day_end),
             )
         )
-        # Same ordering as the Phase-1 flush: ledger first, so a
-        # vouched ledger is never older than the manifest.
-        self._flush_ledger(manifest)
         manifest.save(self.manifest_path)
         _CHUNKS_WRITTEN.inc()
         obs.event(

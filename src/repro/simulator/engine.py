@@ -157,15 +157,21 @@ class SimulationEngine:
         }
 
     def set_rng_state(self, states: dict[str, dict]) -> None:
-        """Restore stream states captured by :meth:`rng_state`."""
+        """Restore stream states captured by :meth:`rng_state`; a
+        malformed one raises :class:`SimulationError` naming its stream."""
         streams = self._streams()
-        if set(states) != set(streams):
+        if not isinstance(states, dict) or set(states) != set(streams):
+            got = sorted(states) if isinstance(states, dict) else type(states).__name__
             raise SimulationError(
-                f"rng state must cover streams {sorted(streams)}, "
-                f"got {sorted(states)}"
+                f"rng state must map exactly the streams {sorted(streams)}, got {got}"
             )
         for name, generator in streams.items():
-            generator.bit_generator.state = states[name]
+            try:
+                generator.bit_generator.state = states[name]
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise SimulationError(
+                    f"rng state of stream {name!r} is malformed: {exc!r}"
+                ) from None
 
     # ------------------------------------------------------------------
     # Phase 1: population

@@ -263,7 +263,17 @@ class TestCli:
         assert len(errors) == 1 and "anomalies" in errors[0]
 
     def test_damaged_ledger_exits_2(self, tmp_path, capsys):
+        # Garbage anywhere -- even a torn final line, or nothing but
+        # garbage -- is no ledger to analyze, and no gate can pass it.
         run_dir = make_run(tmp_path, "a")
-        (run_dir / DAYLEDGER_NAME).write_text('not json\n{"day":1}\n')
-        assert obs_main(["analyze", str(run_dir)]) == 2
+        for text in [
+            'not json\n{"day":1}\n',
+            "not json\n",
+            '{"day":0}\n{"day":1}\n{"day":2,"cli',
+            '{"day":0}\n[1,2]\nnot json\n',
+        ]:
+            (run_dir / DAYLEDGER_NAME).write_text(text)
+            code = obs_main(["analyze", str(run_dir), "--fail-on", "anomalies=0"])
+            assert code == 2, text
+            assert not (run_dir / ANALYZE_NAME).exists()
         capsys.readouterr()

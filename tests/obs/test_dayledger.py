@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import logging
 from collections import Counter
 from types import SimpleNamespace
 
@@ -13,6 +12,7 @@ import pytest
 from repro.config import small_config
 from repro.detection.policy import PolicyChange
 from repro.obs.timeseries import (
+    MARKET_FIELDS,
     DayLedger,
     load_rows,
     policy_days,
@@ -25,13 +25,6 @@ from repro.simulator.engine import SimulationEngine
 from repro.simulator.market import MarketIndex
 
 from .test_diff import stand_in_accounts
-
-
-@pytest.fixture
-def propagate_repro_logs(monkeypatch):
-    # The ``repro`` logger tree runs with propagate=False once its
-    # handler is attached; let records reach caplog's root handler.
-    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
 
 
 class TestDayLedgerRows:
@@ -154,111 +147,59 @@ class TestSerialization:
             rows[0], sort_keys=True, separators=(",", ":")
         )
 
-    def test_flush_preload_flush_is_byte_identical(self, tmp_path):
+    def test_market_rows_rebuild_is_byte_identical(self, tmp_path):
+        # What resume does: the Phase-1 half from Phase 1's outputs,
+        # the market rows as a run manifest carries them.
         ledger = self._populated()
         path = tmp_path / "dayledger.jsonl"
-        ledger.flush(path)
-        original = path.read_bytes()
+        original = ledger.flush(path)
 
-        reloaded = DayLedger(3)
-        reloaded.record_phase1(*self.PHASE1)
-        reloaded.preload(path, market_before=3)
-        reloaded.flush(path)
-        assert path.read_bytes() == original
+        rebuilt = DayLedger(3)
+        rebuilt.record_phase1(*self.PHASE1)
+        carried = json.loads(json.dumps(ledger.market_rows(0, 3)))
+        for day, fields in enumerate(carried):
+            rebuilt.record_day(day, **fields)
+        assert rebuilt.flush(path) == original
 
-    def test_preload_drops_market_fields_at_and_after_cutoff(self, tmp_path):
-        ledger = self._populated()
+    def test_market_rows_cover_only_their_days(self):
+        rows = self._populated().market_rows(1, 3)
+        assert [row["active_accounts"] for row in rows] == [12, 13]
+        # Only the market half: no day, Phase-1 or derived field.
+        assert set(rows[0]) == set(MARKET_FIELDS)
+        with pytest.raises(KeyError):
+            DayLedger(3).market_rows(0, 1)  # day 0 was never recorded
+
+    def _assert_load_rows_raises(self, tmp_path, text, match):
         path = tmp_path / "dayledger.jsonl"
-        ledger.flush(path)
-
-        resumed = DayLedger(3)
-        resumed.preload(path, market_before=2)
-        rows = resumed.rows()
-        # Only market fields reload -- the Phase-1 half is recomputed
-        # from Phase 1's outputs, never read back...
-        assert rows[0]["registrations_fraud"] == 0
-        assert "policy_change" not in rows[2]
-        # ...and only before the cutoff.
-        assert rows[1]["impressions"] == pytest.approx(1001.0)
-        assert "impressions" not in rows[2]
-
-    def test_preload_of_missing_file_raises(self, tmp_path):
-        with pytest.raises(OSError):
-            DayLedger(2).preload(tmp_path / "absent.jsonl", market_before=2)
-
-    @pytest.mark.parametrize(
-        "damage",
-        ["drop-row", "drop-field", "bad-value", "torn-tail", "torn-middle"],
-    )
-    def test_preload_refuses_a_ledger_lacking_a_day(self, tmp_path, damage):
-        # Every day before the cutoff needs its whole market row; a
-        # stale, partial or torn file cannot supply it.
-        path = tmp_path / "dayledger.jsonl"
-        self._populated().flush(path)
-        lines = path.read_text().splitlines()
-        if damage == "drop-row":
-            del lines[1]
-        elif damage == "drop-field":
-            lines[1] = lines[1].replace('"clicks":10.5,', "")
-        elif damage == "bad-value":
-            lines[1] = lines[1].replace('"rows":9', '"rows":[9]')
-        elif damage == "torn-tail":
-            lines[1:] = [lines[1][:20]]
-        else:
-            lines[1] = lines[1][:20]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
-            DayLedger(3).preload(path, market_before=2)
-        if damage != "torn-middle":  # a torn middle line fails the file
-            DayLedger(3).preload(path, market_before=1)  # day 0 is whole
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_rows(path)
 
     def test_load_rows_rejects_interior_malformed_lines(self, tmp_path):
-        # A malformed line *followed by* healthy rows cannot be a
-        # rewrite-race tail: that is damage and must raise.
-        path = tmp_path / "dayledger.jsonl"
-        path.write_text('{"day":0}\nnot json\n{"day":2}\n')
-        with pytest.raises(ValueError, match=":2:"):
-            load_rows(path)
-        path.write_text('[1,2]\n{"day":1}\n')
-        with pytest.raises(ValueError, match="not a ledger row"):
-            load_rows(path)
+        # The ledger is written once, whole: a malformed line anywhere
+        # is damage and raises, naming the first one.
+        for text, match in [
+            ('{"day":0}\nnot json\n{"day":2}\n', ":2: malformed"),
+            ('[1,2]\n{"day":1}\n', ":1: not a ledger row"),
+            ("", "no ledger rows"),
+        ]:
+            self._assert_load_rows_raises(tmp_path, text, match)
 
-    def test_load_rows_skips_truncated_tail(
-        self, tmp_path, caplog, propagate_repro_logs
-    ):
-        # A live reader racing the atomic whole-file rewrite can see a
-        # torn final line; the healthy prefix loads with one notice.
-        path = tmp_path / "dayledger.jsonl"
-        path.write_text('{"day":0}\n{"day":1}\n{"day":2,"cli')
-        with caplog.at_level("WARNING", logger="repro.obs.timeseries"):
-            rows = load_rows(path)
-        assert [row["day"] for row in rows] == [0, 1]
-        notices = [r for r in caplog.records if "trailing" in r.getMessage()]
-        assert len(notices) == 1
-        assert "skipped 1 trailing line(s)" in notices[0].getMessage()
+    def test_load_rows_rejects_a_truncated_tail(self, tmp_path):
+        # No reader races a rewrite, so a torn final line is damage too.
+        self._assert_load_rows_raises(
+            tmp_path, '{"day":0}\n{"day":1}\n{"day":2,"cli', ":3: malformed"
+        )
 
-    def test_load_rows_skips_garbage_tail_lines(
-        self, tmp_path, caplog, propagate_repro_logs
-    ):
-        # Several trailing bad lines (torn rewrite plus a partial row)
-        # still yield the healthy prefix and exactly one notice.
-        path = tmp_path / "dayledger.jsonl"
-        path.write_text('{"day":0}\n[1,2]\nnot json\n')
-        with caplog.at_level("WARNING", logger="repro.obs.timeseries"):
-            rows = load_rows(path)
-        assert [row["day"] for row in rows] == [0]
-        notices = [r for r in caplog.records if "trailing" in r.getMessage()]
-        assert len(notices) == 1
-        assert "skipped 2 trailing line(s)" in notices[0].getMessage()
+    def test_load_rows_rejects_garbage_tail_lines(self, tmp_path):
+        # Several trailing bad lines raise at the first of them.
+        self._assert_load_rows_raises(
+            tmp_path, '{"day":0}\n[1,2]\nnot json\n', ":2: not a ledger row"
+        )
 
-    def test_load_rows_all_garbage_returns_empty(
-        self, tmp_path, caplog, propagate_repro_logs
-    ):
-        path = tmp_path / "dayledger.jsonl"
-        path.write_text("not json\n")
-        with caplog.at_level("WARNING", logger="repro.obs.timeseries"):
-            assert load_rows(path) == []
-        assert any("trailing" in r.getMessage() for r in caplog.records)
+    def test_load_rows_rejects_an_all_garbage_ledger(self, tmp_path):
+        # Nothing but garbage is no ledger, not an empty one.
+        self._assert_load_rows_raises(tmp_path, "not json\n", ":1: malformed")
 
     def test_rows_to_series_flattens_shutdown_stages(self):
         rows = self._populated().rows()

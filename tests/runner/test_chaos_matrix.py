@@ -83,9 +83,13 @@ SCENARIOS = [
         ),
     ),
     Scenario(
-        "torn-dayledger-then-crash",
-        site_faults=(Fault("phase3:checkpoint"),),
+        # The ledger is written once, at completion: a tear there is
+        # silent damage for the doctor.
+        "silent-torn-dayledger",
         io_faults=(WriteFault("dayledger.jsonl", action=IO_TORN, detail=7),),
+        expect="complete",
+        recover="doctor",
+        allowed_damage=frozenset({"checksum"}),
     ),
     Scenario(
         "silent-torn-chunk",
@@ -174,6 +178,8 @@ def test_no_scenario_leaves_hidden_damage(
             runner.run(resume=False)
     else:
         result = runner.run(resume=False)
+    if scenario.io_faults:
+        assert plan.io_shim().fired, "the disk never lied -- vacuous"
 
     # Invariants that must hold in the damaged state, before recovery.
     assert_no_tmp_orphans(tmp_path)

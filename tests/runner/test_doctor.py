@@ -31,6 +31,7 @@ from repro.runner import (
 from repro.runner.doctor import QUARANTINE_DIR, render_repair, render_verify
 from repro.runner.manifest import MANIFEST_NAME
 from repro.runner.runner import MARKET_NAME, PHASE1_NAME
+from repro.simulator.engine import SimulationEngine
 
 SEED = 5
 DAYS = 12
@@ -117,10 +118,9 @@ class TestVerify:
         damaged = {i.path for i in report.damage}
         assert damaged == {MARKET_NAME, DAYLEDGER_NAME}
 
-    def test_incomplete_run_ledger_missing_or_newer(self, tmp_path):
-        # On an incomplete run a ledger flushed just before a crash may
-        # be newer than the manifest (a note), but a vouched ledger that
-        # does not exist is damage, as in every phase.
+    def test_incomplete_run_vouches_no_ledger(self, tmp_path):
+        # The ledger is written once, at completion: a crashed run has
+        # none, and a ledger file found there is only an unvouched note.
         config = small_config(seed=SEED, days=DAYS)
         with pytest.raises(InjectedCrash):
             CheckpointRunner(
@@ -129,18 +129,15 @@ class TestVerify:
                 checkpoint_every=EVERY,
                 faults=FaultPlan.crash_at("phase3:day", day=7),
             ).run(resume=False)
-        ledger = tmp_path / DAYLEDGER_NAME
-        ledger.write_text(ledger.read_text() + "\n")
+        report = verify_run(tmp_path)
+        assert report.phase == "phase3" and report.ok
+        assert report.issues == []
+        assert not (tmp_path / DAYLEDGER_NAME).exists()
+        (tmp_path / DAYLEDGER_NAME).write_text('{"day":0,"clicks":1e9}\n')
         report = verify_run(tmp_path)
         assert report.ok
         assert [(i.kind, i.path) for i in report.issues] == [
             ("note", DAYLEDGER_NAME)
-        ]
-        ledger.unlink()
-        report = verify_run(tmp_path)
-        assert report.phase == "phase3"
-        assert [(i.kind, i.path) for i in report.damage] == [
-            ("missing", DAYLEDGER_NAME)
         ]
 
     def test_unreadable_manifest_raises(self, run_dir):
@@ -213,6 +210,26 @@ class TestRepair:
         assert report.verify.ok
         assert_byte_identical(run_dir, pristine)
 
+    def test_torn_ledger_repair_replays_no_phase3_day(
+        self, run_dir, pristine, monkeypatch
+    ):
+        # The ledger's market rows come from the manifest, so a damaged
+        # ledger costs Phases 1-2 and no auction day.
+        replayed = []
+        run_auctions = SimulationEngine.run_auctions
+
+        def counting(self, market, builder, start_day=0, end_day=None, **kwargs):
+            replayed.append((start_day, end_day))
+            return run_auctions(self, market, builder, start_day, end_day, **kwargs)
+
+        monkeypatch.setattr(SimulationEngine, "run_auctions", counting)
+        ledger = run_dir / DAYLEDGER_NAME
+        ledger.write_bytes(ledger.read_bytes()[:-40])
+        report = repair_run(run_dir)
+        assert report.rewritten == [DAYLEDGER_NAME]
+        assert replayed == []
+        assert_byte_identical(run_dir, pristine)
+
     def test_damaged_snapshot_full_replay(self, run_dir, pristine):
         _flip_byte(run_dir / PHASE1_NAME)
         _flip_byte(_chunk_paths(run_dir)[2])
@@ -226,7 +243,7 @@ class TestRepair:
         self, run_dir, pristine
     ):
         # One damaged artifact for each step of the full replay: the
-        # snapshot, a chunk (through the chunk replay) and the ledger.
+        # snapshot, the ledger, then a chunk (through the chunk replay).
         victim = _chunk_paths(run_dir)[1]
         _flip_byte(run_dir / MARKET_NAME)
         _flip_byte(victim)
@@ -235,8 +252,8 @@ class TestRepair:
         assert report.strategy == "full-replay"
         assert report.rewritten == [
             MARKET_NAME,
-            f"chunks/{victim.name}",
             DAYLEDGER_NAME,
+            f"chunks/{victim.name}",
         ]
         assert report.verify.ok
         assert_byte_identical(run_dir, pristine)

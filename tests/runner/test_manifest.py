@@ -6,8 +6,17 @@ import pytest
 
 from repro import small_config
 from repro.errors import SimulationError
+from repro.obs.timeseries import MARKET_FIELDS, DayLedger
 from repro.runner import ChunkEntry, RunManifest, config_sha256
 from repro.simulator.engine import RNG_STREAMS, SimulationEngine
+
+
+def ledger_rows(day_start: int, day_end: int) -> list[dict]:
+    """Market rows of days ``[day_start, day_end)`` as a run records them."""
+    ledger = DayLedger(day_end)
+    for day in range(day_start, day_end):
+        ledger.record_day(day, rows=3 * day, clicks=0.5 + day, spend=0.1 * day)
+    return ledger.market_rows(day_start, day_end)
 
 
 class TestConfigHash:
@@ -45,6 +54,13 @@ class TestRngStateSerialization:
         states.pop("clicks")
         with pytest.raises(SimulationError):
             engine.set_rng_state(states)
+        with pytest.raises(SimulationError, match="streams"):
+            engine.set_rng_state(["population", "detection"])
+        # A state numpy refuses names its stream.
+        states = engine.rng_state()
+        states["market"]["state"] = {"state": "zzz", "inc": 1}
+        with pytest.raises(SimulationError, match="'market'"):
+            engine.set_rng_state(states)
 
 
 class TestManifestRoundTrip:
@@ -63,6 +79,7 @@ class TestManifestRoundTrip:
                 day_end=4,
                 rows=17,
                 rng_after=engine.rng_state(),
+                ledger=ledger_rows(0, 4),
             )
         )
         return manifest
@@ -93,13 +110,15 @@ class TestManifestRoundTrip:
             RunManifest.load(tmp_path / "MANIFEST.json")
 
     def test_load_rejects_unknown_format(self, tmp_path):
+        # Older formats too: /3 carried no ledger rows in its chunks.
         manifest = self._manifest(tmp_path)
         payload = json.loads(manifest.to_json())
-        payload["format"] = "repro-run/99"
         path = tmp_path / "MANIFEST.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SimulationError, match="format"):
-            RunManifest.load(path)
+        for old in ("repro-run/2", "repro-run/3", "repro-run/99"):
+            payload["format"] = old
+            path.write_text(json.dumps(payload))
+            with pytest.raises(SimulationError, match=f"'{old}'"):
+                RunManifest.load(path)
 
     def test_load_rejects_non_contiguous_chunks(self, tmp_path):
         manifest = self._manifest(tmp_path)
@@ -111,12 +130,95 @@ class TestManifestRoundTrip:
                 day_end=8,
                 rows=3,
                 rng_after=manifest.chunks[0].rng_after,
+                ledger=ledger_rows(5, 8),
             )
         )
         path = tmp_path / "MANIFEST.json"
         manifest.save(path)
         with pytest.raises(SimulationError, match="contiguous"):
             RunManifest.load(path)
+
+    @pytest.mark.parametrize(
+        "phase, day_end", [("complete", 4), ("phase3", 13)]
+    )
+    def test_load_rejects_chunks_not_ending_at_days(self, tmp_path, phase, day_end):
+        # A finished 12-day run whose chunk index stops early, or any
+        # index that runs past the horizon.
+        manifest = self._manifest(tmp_path)
+        manifest.phase = phase
+        chunk = manifest.chunks[0]
+        chunk.day_end = day_end
+        chunk.file = f"chunks/chunk-00000-{day_end:05d}.npc"
+        chunk.ledger = ledger_rows(0, day_end)
+        path = tmp_path / "MANIFEST.json"
+        manifest.save(path)
+        with pytest.raises(SimulationError, match=f"covers \\[0, {day_end}\\)"):
+            RunManifest.load(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "missing",
+            "drop-row",
+            "extra-row",
+            "drop-field",
+            "extra-field",
+            "not-a-row",
+            "bad-value",
+            "bool",
+            "float-for-int",
+            "nan",
+            "infinite",
+            "string",
+        ],
+    )
+    def test_load_rejects_bad_ledger_rows(self, tmp_path, damage):
+        payload = json.loads(self._manifest(tmp_path).to_json())
+        entry = payload["chunks"][0]
+        rows = entry["ledger"]
+        if damage == "missing":
+            del entry["ledger"]
+        elif damage == "drop-row":
+            del rows[1]
+        elif damage == "extra-row":
+            rows.append(dict(rows[0]))
+        elif damage == "drop-field":
+            del rows[1]["clicks"]
+        elif damage == "extra-field":
+            rows[1]["day"] = 1
+        elif damage == "not-a-row":
+            rows[1] = list(rows[1].values())
+        elif damage == "bad-value":
+            rows[1]["rows"] = [9]
+        elif damage == "bool":
+            rows[1]["auctions"] = True
+        elif damage == "float-for-int":
+            rows[1]["rows"] = 3.0
+        elif damage == "nan":
+            rows[1]["spend"] = float("nan")
+        elif damage == "infinite":
+            rows[1]["clicks"] = float("inf")
+        else:
+            rows[1]["clicks"] = "21.0"
+        path = tmp_path / "MANIFEST.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SimulationError, match="chunk entry"):
+            RunManifest.load(path)
+
+    def test_ledger_rows_round_trip_exactly(self, tmp_path):
+        # JSON's float repr reads back as the same float, so re-recorded
+        # rows serialize to the same bytes.
+        manifest = self._manifest(tmp_path)
+        manifest.chunks[0].ledger[2]["spend"] = 0.1 + 0.2
+        path = tmp_path / "MANIFEST.json"
+        manifest.save(path)
+        loaded = RunManifest.load(path)
+        assert loaded.chunks[0].ledger == manifest.chunks[0].ledger
+        rebuilt = DayLedger(4)
+        for day, fields in enumerate(loaded.chunks[0].ledger):
+            assert list(fields) == sorted(MARKET_FIELDS)
+            rebuilt.record_day(day, **fields)
+        assert rebuilt.market_rows(0, 4) == manifest.chunks[0].ledger
 
     @pytest.mark.parametrize(
         "name",

@@ -24,6 +24,7 @@ from repro.runner import (
     InjectedCrash,
     WriteFault,
 )
+from repro.runner.__main__ import main as runner_main
 from repro.validation import render_report, run_validation
 
 from .conftest import assert_results_identical
@@ -150,3 +151,35 @@ def test_chunk_entry_outside_run_dir_is_refused(tmp_path):
     with pytest.raises(SimulationError, match="victim.txt"):
         CheckpointRunner(config, run_dir).run(resume=True)
     assert victim.read_text() == "not a chunk"
+
+
+def test_malformed_rng_state_exits_2_on_cli_resume(runner_config, tmp_path, capsys):
+    """A stream state numpy refuses is one ``ERROR`` line, not a
+    traceback."""
+    _interrupt(
+        runner_config, tmp_path, FaultPlan.crash_at("phase3:day", day=23)
+    )
+    manifest_path = tmp_path / "MANIFEST.json"
+    payload = json.loads(manifest_path.read_text())
+    payload["chunks"][-1]["rng_after"]["clicks"]["state"] = {"state": "zzz", "inc": 1}
+    manifest_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = runner_main(
+        [
+            "run",
+            "--checkpoint-dir",
+            str(tmp_path),
+            "--resume",
+            "--small",
+            "--seed",
+            str(runner_config.seed),
+            "--days",
+            str(runner_config.days),
+            "--checkpoint-every",
+            str(CHECKPOINT_EVERY),
+        ]
+    )
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR"), lines
+    assert "'clicks'" in lines[0]

@@ -208,38 +208,78 @@ class TestVerifyDoctorCli:
         assert validate_main(["--run-dir", str(tmp_path / "void")]) == 2
 
 
-class TestOldRunDirectoryRefused:
-    """Every CLI that reads a run directory refuses a ``repro-run/2`` one."""
+#: Every CLI that reads a run directory (``{run_dir}`` is filled in).
+_RUN_DIR_READERS = pytest.mark.parametrize(
+    "main, argv",
+    [
+        (
+            runner_main,
+            [
+                "run", "--checkpoint-dir", "{run_dir}", "--resume", "--small",
+                "--seed", "5", "--days", "12", "--checkpoint-every", "5",
+            ],
+        ),
+        (runner_main, ["verify", "{run_dir}"]),
+        (runner_main, ["doctor", "{run_dir}", "--repair"]),
+        (validate_main, ["--run-dir", "{run_dir}"]),
+    ],
+    ids=["run-resume", "verify", "doctor-repair", "validation-run-dir"],
+)
 
-    ARGS = ["--small", "--seed", "5", "--days", "12", "--checkpoint-every", "5"]
+
+def _finished_run(tmp_path_factory, edit):
+    """A finished 12-day run whose manifest payload ``edit`` changed."""
+    run_dir = tmp_path_factory.mktemp("edited") / "run"
+    argv = ["--small", "--seed", "5", "--days", "12", "--checkpoint-every", "5"]
+    assert runner_main(["run", "--checkpoint-dir", str(run_dir), *argv]) == 0
+    manifest = run_dir / "MANIFEST.json"
+    payload = json.loads(manifest.read_text())
+    edit(payload)
+    manifest.write_text(json.dumps(payload, sort_keys=True, indent=1))
+    return run_dir
+
+
+def _one_error_line(capsys, main, argv, run_dir) -> str:
+    capsys.readouterr()
+    assert main([arg.format(run_dir=run_dir) for arg in argv]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
+class TestOldRunDirectoryRefused:
+    """Every CLI that reads a run directory refuses a ``repro-run/3`` one."""
 
     @pytest.fixture(scope="class")
     def old_run_dir(self, tmp_path_factory):
-        run_dir = tmp_path_factory.mktemp("old") / "run"
-        assert runner_main(["run", "--checkpoint-dir", str(run_dir), *self.ARGS]) == 0
-        manifest = run_dir / "MANIFEST.json"
-        payload = json.loads(manifest.read_text())
-        payload["format"] = "repro-run/2"
-        manifest.write_text(json.dumps(payload, sort_keys=True, indent=1))
-        return run_dir
+        return _finished_run(
+            tmp_path_factory, lambda payload: payload.update(format="repro-run/3")
+        )
 
-    @pytest.mark.parametrize(
-        "main, argv",
-        [
-            (runner_main, ["run", "--checkpoint-dir", "{run_dir}", "--resume", *ARGS]),
-            (runner_main, ["verify", "{run_dir}"]),
-            (runner_main, ["doctor", "{run_dir}", "--repair"]),
-            (validate_main, ["--run-dir", "{run_dir}"]),
-        ],
-        ids=["run-resume", "verify", "doctor-repair", "validation-run-dir"],
-    )
+    @_RUN_DIR_READERS
     def test_exits_2_with_one_error_line(self, old_run_dir, capsys, main, argv):
-        capsys.readouterr()
-        assert main([arg.format(run_dir=old_run_dir) for arg in argv]) == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1, lines
-        assert "'repro-run/2'" in lines[0] and "'repro-run/3'" in lines[0]
-        assert "re-run" in lines[0]
+        line = _one_error_line(capsys, main, argv, old_run_dir)
+        assert "'repro-run/3'" in line and "'repro-run/4'" in line
+        assert "re-run" in line
+
+
+class TestTruncatedChunkIndexRefused:
+    """A finished run whose chunk index stops short of its horizon is
+    refused as it loads, not reloaded with days missing."""
+
+    @pytest.fixture(scope="class")
+    def truncated_run_dir(self, tmp_path_factory):
+        # Chunks [0,5) [5,10) [10,12): keep the first two.
+        return _finished_run(
+            tmp_path_factory, lambda payload: payload["chunks"].pop()
+        )
+
+    @_RUN_DIR_READERS
+    def test_exits_2_with_one_error_line(
+        self, truncated_run_dir, capsys, main, argv
+    ):
+        line = _one_error_line(capsys, main, argv, truncated_run_dir)
+        assert line.startswith("ERROR") and "covers [0, 10)" in line
 
 
 class TestUnwritableOutput:
